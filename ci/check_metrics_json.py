@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Validates a MetricsRegistry JSON export (schema topodb.metrics.v1/v2).
+"""Validates a MetricsRegistry JSON export (schema topodb.metrics.v2).
 
 Usage: check_metrics_json.py <path> [--require-semcache]
 
 CI archives the per-stage timing export produced by bench_pipeline_batch
 (TOPODB_METRICS_JSON=<path>) and fails if the file is not well-formed JSON,
 declares an unknown schema, or is missing the per-stage instrumentation
-the serving path is supposed to emit. Both schema versions are accepted:
-v2 adds the interpolated "p95" histogram field, which is required when
-the export declares v2.
+the serving path is supposed to emit. Every histogram must carry the
+full v2 field set, including the interpolated "p95".
 
 --require-semcache switches the expected series to the query planner /
 semantic-cache instrumentation (bench_query_plan's registry does not run
@@ -20,7 +19,7 @@ import json
 import sys
 
 
-ACCEPTED_SCHEMAS = ["topodb.metrics.v1", "topodb.metrics.v2"]
+SCHEMA = "topodb.metrics.v2"
 EXPECTED_COUNTERS = [
     "pipeline.items",
     "pipeline.cache_hits",
@@ -47,8 +46,7 @@ SEMCACHE_GAUGES = [
 SEMCACHE_HISTOGRAMS = [
     "planner.plan_us",
 ]
-HISTOGRAM_FIELDS_V1 = ["count", "sum", "min", "max", "mean", "p50", "p90", "p99"]
-HISTOGRAM_FIELDS_V2 = HISTOGRAM_FIELDS_V1 + ["p95"]
+HISTOGRAM_FIELDS = ["count", "sum", "min", "max", "mean", "p50", "p90", "p95", "p99"]
 
 
 def fail(message):
@@ -67,11 +65,8 @@ def main():
     except (OSError, json.JSONDecodeError) as err:
         fail(str(err))
     schema = doc.get("schema")
-    if schema not in ACCEPTED_SCHEMAS:
-        fail(f"unexpected schema {schema!r} (accepted: {ACCEPTED_SCHEMAS})")
-    histogram_fields = (
-        HISTOGRAM_FIELDS_V2 if schema == "topodb.metrics.v2" else HISTOGRAM_FIELDS_V1
-    )
+    if schema != SCHEMA:
+        fail(f"unexpected schema {schema!r} (expected {SCHEMA!r})")
     for section in ("counters", "gauges", "histograms"):
         if not isinstance(doc.get(section), dict):
             fail(f"missing section {section!r}")
@@ -99,7 +94,7 @@ def main():
         hist = doc["histograms"].get(name)
         if not isinstance(hist, dict):
             fail(f"missing histogram {name!r}")
-        for field in histogram_fields:
+        for field in HISTOGRAM_FIELDS:
             if not isinstance(hist.get(field), (int, float)):
                 fail(f"histogram {name!r} missing field {field!r}")
         if hist["count"] > 0 and hist["min"] > hist["max"]:

@@ -35,16 +35,23 @@
 #      bench_shard_scaling (ground-truth-checked scatter-gather at 1/2/4
 #      shards) and holds the checked-in BENCH_shard.json to the scaling
 #      floors.
+#   3d. Front door under ulimit -n 128: 300 client connections to a
+#      server, then 300+ health probes and 300 client connections through
+#      a router (--health-ms 10) to a second server. Every call is under
+#      `timeout`, and every daemon must drain cleanly within 10 s of
+#      SIGTERM — a leaked fd per connection or an unbounded probe fails
+#      the stage instead of hanging it.
 #   4. Rebuild the test suite under ASan+UBSan (with float-cast-overflow)
 #      in build-asan/ and run it — this is what runs the predicate-filter,
 #      expansion-stage and BigInt fast-path differential fuzz suites with
 #      sanitized float<->int conversions, and what proves the limb-arena
 #      lifetime rules (a use-after-reset or double free of an arena block
 #      is an ASan error, not a silent corruption).
-#   5. Rebuild under TSan in build-tsan/ and run the ConcurrencyTest and
-#      ServerTest suites (shared caches, shared registries, parallel
-#      fan-out, mid-flight cancellation, the full serving path) — the
-#      cross-thread paths, specifically.
+#   5. Rebuild under TSan in build-tsan/ and run the ConcurrencyTest,
+#      ServerTest, RouterTest, ServerTruncationTest and FrontDoorTest
+#      suites (shared caches, shared registries, parallel fan-out,
+#      mid-flight cancellation, the full serving path, the shared front
+#      door) — the cross-thread paths, specifically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -254,11 +261,17 @@ echo "==> shard smoke: 2-shard fleet, kill-one-shard route-around, drain"
 #   inline texts:   fig6,nested,disjoint -> b
 shard_a_dir=$(mktemp -d /tmp/topodb_ci_shard_a_XXXXXX)
 shard_b_dir=$(mktemp -d /tmp/topodb_ci_shard_b_XXXXXX)
-trap 'rm -rf "$catalog_dir" "$shard_a_dir" "$shard_b_dir"' EXIT
+# A failing stage must not leave a daemon running (it would keep a
+# captured CI log open): daemons started below are killed on failure.
+daemon_pids=()
+trap 'status=$?; rm -rf "$catalog_dir" "$shard_a_dir" "$shard_b_dir"
+      (( status == 0 )) || kill -KILL "${daemon_pids[@]}" 2>/dev/null || true
+      exit $status' EXIT
 start_server() {  # start_server LOGFILE ARGS... ; sets started_pid/started_port
   local log=$1; shift
-  "$@" > "$log" &
+  "$@" > "$log" 2>&1 &
   started_pid=$!
+  daemon_pids+=("$started_pid")
   for _ in $(seq 1 50); do
     grep -q "listening on" "$log" 2>/dev/null && break
     sleep 0.1
@@ -330,6 +343,49 @@ grep -q "drained cleanly" ci/artifacts/shard_router.log \
 kill -TERM "$shard_a_pid"
 wait "$shard_a_pid"
 
+echo "==> front door under ulimit -n 128: 300 connections, 300 probes"
+# Every daemon here runs with 128 fds. A front door that kept closed
+# connections' fds would stop accepting after ~120 connections, and a
+# prober stuck on an unanswered probe would keep the router from
+# draining. Every call runs under `timeout`, so such a regression fails
+# this stage instead of hanging it.
+fd_capped() { ulimit -n 128 && exec "$@"; }
+stop_daemon() {  # stop_daemon PID LOG: SIGTERM, then a clean drain in 10 s
+  kill -TERM "$1"
+  for _ in $(seq 1 100); do
+    if grep -q "drained cleanly" "$2"; then
+      wait "$1" || { echo "$2: exited nonzero after draining"; exit 1; }
+      return
+    fi
+    sleep 0.1
+  done
+  kill -KILL "$1"
+  echo "$2: no clean drain within 10 s of SIGTERM"; exit 1
+}
+ping_n() {  # ping_n PORT N
+  for _ in $(seq 1 "$2"); do
+    timeout 5 ./build-ci/src/client/topodb_client --port "$1" ping >/dev/null
+  done
+}
+start_server ci/artifacts/lowfd_server.log \
+  fd_capped ./build-ci/src/server/topodb_server --workers 2 --queue 16
+lowfd_pid=$started_pid
+ping_n "$started_port" 300
+stop_daemon "$lowfd_pid" ci/artifacts/lowfd_server.log
+start_server ci/artifacts/lowfd_shard.log \
+  fd_capped ./build-ci/src/server/topodb_server --workers 2 --queue 16
+lowfd_shard_pid=$started_pid
+start_server ci/artifacts/lowfd_router.log \
+  fd_capped ./build-ci/src/shard/topodb_router --health-ms 10 \
+  --shard "a=$started_port"
+lowfd_router_pid=$started_pid
+sleep 3  # At least 300 health probes, each on a fresh shard connection.
+ping_n "$started_port" 300
+timeout 5 ./build-ci/src/client/topodb_client --port "$started_port" \
+  invariant fig1a >/dev/null
+stop_daemon "$lowfd_router_pid" ci/artifacts/lowfd_router.log
+stop_daemon "$lowfd_shard_pid" ci/artifacts/lowfd_shard.log
+
 echo "==> bench smoke: shard scaling (router scatter-gather, 1/2/4 shards)"
 # Every response in the bench is byte-compared against library ground
 # truth, so the smoke run is a correctness gate for the scatter-gather
@@ -354,21 +410,23 @@ if [[ "${1:-}" != "--no-sanitizers" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
 
-  echo "==> sanitizers: TSan (ConcurrencyTest + ServerTest + RouterTest)"
+  echo "==> sanitizers: TSan (concurrency, server, router, front door)"
   # A full TSan suite run would dominate CI wall-clock; these suites are
   # written to cover exactly the cross-thread access patterns (shared
   # InvariantCache, shared MetricsRegistry, one engine serving many
   # threads, cancellation flipped mid-flight, the acceptor/reader/worker
-  # handoffs of the serving layer, and the router's scatter threads /
-  # health-prober / session handoffs on top of real backend fleets).
+  # handoffs of the serving layer, the front door's self-retiring
+  # readers under connection churn and fd exhaustion, and the router's
+  # scatter threads / health-prober / session handoffs on top of real
+  # backend fleets).
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j --target concurrency_test server_test \
-    shard_router_test
+    shard_router_test transport_test front_door_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R "ConcurrencyTest|ServerTest|RouterTest"
+    -R "ConcurrencyTest|ServerTest|RouterTest|ServerTruncationTest|FrontDoorTest"
 fi
 
 echo "==> CI OK"

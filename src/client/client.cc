@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,6 +11,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/obs/deadline.h"
+#include "src/server/frame_server.h"
 #include "src/server/wire.h"
 
 namespace topodb {
@@ -26,18 +29,9 @@ constexpr char kTransportPrefix[] = "transport: ";
 // fresh connection. Internal is reserved for protocol violations on an
 // intact transport (misrouted ids, malformed frames).
 Status SendAll(int fd, std::string_view bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return Status::Unavailable(std::string(kTransportPrefix) + "send: " +
-                                 std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  if (SendFull(fd, bytes)) return Status::OK();
+  return Status::Unavailable(std::string(kTransportPrefix) + "send: " +
+                             std::strerror(errno));
 }
 
 // Advances a SplitMix64 state and returns the next draw — the client's
@@ -56,39 +50,41 @@ uint64_t NextJitter(uint64_t* state) {
 // into the expected bytes the stream died, since the connection can never
 // be resynchronized from there.
 Status RecvAll(int fd, char* buf, size_t n, bool mid_frame) {
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t r = recv(fd, buf + off, n - off, 0);
-    if (r == 0) {
-      if (off == 0 && !mid_frame) {
-        return Status::Unavailable(std::string(kTransportPrefix) +
-                                   "connection closed by server");
-      }
-      return Status::Unavailable(
-          std::string(kTransportPrefix) +
-          "truncated frame: connection closed after " + std::to_string(off) +
-          " of " + std::to_string(n) + " expected bytes");
-    }
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(std::string(kTransportPrefix) + "recv: " +
-                                 std::strerror(errno));
-    }
-    off += static_cast<size_t>(r);
+  const ReadOutcome got = ReadFull(fd, buf, n);
+  if (got.kind == ReadOutcome::kOk) return Status::OK();
+  if (got.kind == ReadOutcome::kError) {
+    return Status::Unavailable(std::string(kTransportPrefix) + "recv: " +
+                               std::strerror(errno));
   }
-  return Status::OK();
+  if (got.kind == ReadOutcome::kCleanClose && !mid_frame) {
+    return Status::Unavailable(std::string(kTransportPrefix) +
+                               "connection closed by server");
+  }
+  return Status::Unavailable(std::string(kTransportPrefix) +
+                             "truncated frame: connection closed after " +
+                             std::to_string(got.bytes_read) + " of " +
+                             std::to_string(n) + " expected bytes");
 }
 
-}  // namespace
+// Bounds every later connect, send and recv on `fd` to `timeout_ms` each
+// (0 = unbounded): past it the call fails with EINPROGRESS or EAGAIN,
+// which the callers above report as transport errors.
+void SetIoTimeout(int fd, uint32_t timeout_ms) {
+  timeval tv{};
+  tv.tv_sec = timeout_ms / 1000;
+  tv.tv_usec = static_cast<suseconds_t>(timeout_ms % 1000) * 1000;
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
 
-namespace {
-
-// One loopback dial. Shared by Connect and Reconnect.
-Result<int> DialLoopback(uint16_t port) {
+// One loopback dial, bounded by `timeout_ms` when nonzero. Shared by
+// Connect, Reconnect and ProbeHealth.
+Result<int> DialLoopback(uint16_t port, uint32_t timeout_ms = 0) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::Internal(std::string("socket: ") + std::strerror(errno));
   }
+  if (timeout_ms > 0) SetIoTimeout(fd, timeout_ms);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -114,6 +110,17 @@ Result<TopoDbClient> TopoDbClient::Connect(uint16_t port,
   client.jitter_state_ = options.retry.jitter_seed;
   client.c_retries_ = RegistryCounter(options.metrics, "client.retries");
   return client;
+}
+
+Result<PingBody> TopoDbClient::ProbeHealth(uint16_t port,
+                                           uint32_t budget_ms) {
+  const Deadline deadline = budget_ms > 0 ? Deadline::AfterMillis(budget_ms)
+                                          : Deadline::Infinite();
+  TOPODB_ASSIGN_OR_RETURN(int fd, DialLoopback(port, budget_ms));
+  TopoDbClient client(fd);
+  // The PING and its reply get what the dial left of the budget.
+  SetIoTimeout(fd, deadline.WireBudgetMs());
+  return client.HealthPing(deadline.WireBudgetMs());
 }
 
 bool TopoDbClient::IsTransportError(const Status& status) {

@@ -115,8 +115,15 @@ class TopoDbClient {
 
   // PING with the decoded state body: serving vs draining plus the
   // admission-queue snapshot. Servers predating the body read as serving
-  // with an unknown (zero) queue. This is the HealthChecker's probe.
+  // with an unknown (zero) queue.
   Result<PingBody> HealthPing(uint32_t budget_ms = 0);
+
+  // The HealthChecker's probe: a HealthPing on a fresh connection whose
+  // whole exchange — dial, PING, reply — is bounded by `budget_ms`
+  // (0 = unbounded). Past the budget it fails as a transport error, so a
+  // backend that accepts but never answers reads as down instead of
+  // wedging the caller.
+  static Result<PingBody> ProbeHealth(uint16_t port, uint32_t budget_ms);
 
   // Raw escape hatch: sends `payload` verbatim under `opcode` and returns
   // the response body (wire status already checked, like every typed

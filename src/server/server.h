@@ -5,8 +5,8 @@
 // length-prefixed wire protocol of src/server/wire.h.
 //
 // Threading model (see DESIGN.md §5d):
-//   - one acceptor thread accepts connections and spawns one reader
-//     thread per session;
+//   - the shared front door (src/server/frame_server.h) runs one acceptor
+//     thread and one reader thread per session;
 //   - readers parse frames and *admit* requests into a bounded queue;
 //     when the queue is full the request is shed immediately with
 //     Unavailable (explicit backpressure — nothing waits unboundedly);
@@ -59,10 +59,6 @@ struct ServerOptions {
   // How long Shutdown() lets admitted work finish before cancelling
   // stragglers via the shared CancelToken.
   std::chrono::milliseconds drain_timeout{2000};
-  // Items per BATCH_INVARIANTS request above which the request is
-  // rejected with InvalidArgument (a denial-of-service guard, same idea
-  // as kMaxWirePayloadBytes).
-  size_t max_batch_items = 1024;
   // Per-evaluation knobs for EVAL_QUERY (strategy, enumeration budgets).
   // Deadline/cancel/metrics fields are overwritten per request, as are
   // the plan flag and the semantic-cache plumbing (see below).

@@ -162,6 +162,24 @@ Status WireReader::ExpectEnd() const {
   return Status::OK();
 }
 
+Result<std::vector<InstanceRef>> DecodeBatchRequest(std::string_view payload) {
+  WireReader reader(payload);
+  TOPODB_ASSIGN_OR_RETURN(uint32_t n, reader.ReadU32());
+  if (n > kMaxBatchItems) {
+    return Status::InvalidArgument(
+        "batch of " + std::to_string(n) + " items exceeds the " +
+        std::to_string(kMaxBatchItems) + "-item request cap");
+  }
+  std::vector<InstanceRef> refs;
+  refs.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    TOPODB_ASSIGN_OR_RETURN(InstanceRef ref, reader.ReadInstanceRef());
+    refs.push_back(std::move(ref));
+  }
+  TOPODB_RETURN_NOT_OK(reader.ExpectEnd());
+  return refs;
+}
+
 std::string EncodeFrame(const FrameHeader& header, std::string_view payload) {
   std::string out;
   out.reserve(kWireHeaderBytes + payload.size());

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/base/status.h"
 
@@ -47,6 +48,9 @@ inline constexpr size_t kWireHeaderBytes = 24;
 // protocol error and closes the connection (a corrupted length must not
 // make the peer try to buffer gigabytes).
 inline constexpr uint32_t kMaxWirePayloadBytes = 64u << 20;
+// Items per BATCH_INVARIANTS request above which the request is rejected
+// with InvalidArgument — the same denial-of-service guard, per item.
+inline constexpr uint32_t kMaxBatchItems = 1024;
 // Set on the opcode field of every response frame.
 inline constexpr uint16_t kWireResponseBit = 0x80;
 
@@ -155,6 +159,10 @@ class WireReader {
   std::string_view data_;
   size_t pos_ = 0;
 };
+
+// Decodes a BATCH_INVARIANTS request payload: u32 n (at most
+// kMaxBatchItems), then n instance refs, then nothing.
+Result<std::vector<InstanceRef>> DecodeBatchRequest(std::string_view payload);
 
 // --- Frame encode/decode --------------------------------------------------
 

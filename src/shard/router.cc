@@ -1,13 +1,7 @@
 #include "src/shard/router.h"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,35 +13,24 @@
 
 #include "src/client/pool.h"
 #include "src/obs/deadline.h"
+#include "src/server/frame_server.h"
 #include "src/server/wire.h"
 #include "src/shard/metrics_merge.h"
 
 namespace topodb {
 namespace {
 
-// Exact-length read; mirrors the server's ReadFull (the router fronts the
-// same protocol).
-struct ReadOutcome {
-  enum Kind { kOk, kCleanClose, kTruncated, kError } kind = kOk;
-  size_t bytes_read = 0;
-};
-
-ReadOutcome ReadFull(int fd, char* buf, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t r = recv(fd, buf + off, n - off, 0);
-    if (r == 0) {
-      return {off == 0 ? ReadOutcome::kCleanClose : ReadOutcome::kTruncated,
-              off};
-    }
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return {ReadOutcome::kError, off};
-    }
-    off += static_cast<size_t>(r);
-  }
-  return {ReadOutcome::kOk, off};
-}
+// Backend-pool retry: on (a dropped backend connection is routine during
+// shard restarts), unlike the plain client default. Kept to one fast
+// re-attempt — the ring walk, not the retry loop, is the failover
+// mechanism.
+constexpr RetryPolicy kBackendRetry{
+    /*max_retries=*/1, /*initial_backoff=*/std::chrono::milliseconds(2),
+    /*multiplier=*/2.0, /*max_backoff=*/std::chrono::milliseconds(50)};
+// Idle connections kept per backend: enough for a handful of concurrent
+// front sessions and scatter threads to reuse dials, without holding a
+// socket per past traffic peak.
+constexpr size_t kPoolMaxIdle = 8;
 
 // The routing key of an instance ref: names key by name (placement
 // identity), inline text keys by the full text (content identity — the
@@ -65,14 +48,14 @@ struct TopoDbRouter::Impl {
   explicit Impl(RouterOptions opts)
       : options(std::move(opts)),
         registry(options.metrics != nullptr ? options.metrics
-                                            : &owned_metrics) {}
+                                            : &owned_metrics),
+        front("router", registry,
+              [this](const std::shared_ptr<FrameSession>& session,
+                     FrameRequest request) {
+                Serve(*session, std::move(request));
+              }) {}
 
   ~Impl() { (void)ShutdownImpl(); }
-
-  struct Session {
-    int fd = -1;
-    std::thread thread;
-  };
 
   RouterOptions options;
   MetricsRegistry owned_metrics;
@@ -82,24 +65,21 @@ struct TopoDbRouter::Impl {
   std::optional<HealthChecker> checker;
   std::vector<std::unique_ptr<ClientPool>> pools;
 
-  int listen_fd = -1;
-  uint16_t bound_port = 0;
-  std::thread acceptor;
-  std::mutex sessions_mu;
-  std::vector<std::shared_ptr<Session>> sessions;
+  // Sockets, sessions, framing and the byte/protocol counters; readers
+  // hand each request frame to Serve().
+  FrameServer front;
 
   std::atomic<bool> started{false};
   std::atomic<bool> running{false};
-  std::atomic<bool> accepting{false};
   std::atomic<bool> draining{false};
 
-  Counter* c_requests = nullptr;
-  Counter* c_routed = nullptr;
-  Counter* c_rerouted = nullptr;
-  Counter* c_unroutable = nullptr;
-  Counter* c_backend_errors = nullptr;
-  Counter* c_protocol_errors = nullptr;
-  Histogram* h_request_us = nullptr;
+  Counter* const c_requests = registry->counter("router.requests");
+  Counter* const c_routed = registry->counter("router.routed");
+  Counter* const c_rerouted = registry->counter("router.rerouted");
+  Counter* const c_unroutable = registry->counter("router.unroutable");
+  Counter* const c_backend_errors =
+      registry->counter("router.backend_errors");
+  Histogram* const h_request_us = registry->histogram("router.request_us");
   std::vector<Counter*> c_shard_requests;
   std::vector<Histogram*> h_shard_latency;
 
@@ -117,8 +97,8 @@ struct TopoDbRouter::Impl {
     for (size_t s = 0; s < topo->num_shards(); ++s) {
       ClientPoolOptions pool_options;
       pool_options.port = topo->endpoint(s).port;
-      pool_options.max_idle = options.pool_max_idle;
-      pool_options.client.retry = options.backend_retry;
+      pool_options.max_idle = kPoolMaxIdle;
+      pool_options.client.retry = kBackendRetry;
       pool_options.client.metrics = registry;
       pools.push_back(std::make_unique<ClientPool>(pool_options));
       c_shard_requests.push_back(registry->counter(
@@ -126,13 +106,6 @@ struct TopoDbRouter::Impl {
       h_shard_latency.push_back(registry->histogram(
           "router.shard." + topo->endpoint(s).id + ".latency_us"));
     }
-    c_requests = registry->counter("router.requests");
-    c_routed = registry->counter("router.routed");
-    c_rerouted = registry->counter("router.rerouted");
-    c_unroutable = registry->counter("router.unroutable");
-    c_backend_errors = registry->counter("router.backend_errors");
-    c_protocol_errors = registry->counter("router.protocol_errors");
-    h_request_us = registry->histogram("router.request_us");
 
     HealthCheckerOptions checker_options;
     checker_options.interval = options.health_interval;
@@ -142,172 +115,37 @@ struct TopoDbRouter::Impl {
       checker->Start();  // Runs one synchronous sweep before returning.
     }
 
-    listen_fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd < 0) {
-      return Status::Internal(std::string("socket: ") + std::strerror(errno));
-    }
-    const int one = 1;
-    setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(options.port);
-    if (bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-        0) {
-      const Status st =
-          Status::Internal(std::string("bind: ") + std::strerror(errno));
-      close(listen_fd);
-      listen_fd = -1;
-      return st;
-    }
-    if (listen(listen_fd, 64) < 0) {
-      const Status st =
-          Status::Internal(std::string("listen: ") + std::strerror(errno));
-      close(listen_fd);
-      listen_fd = -1;
-      return st;
-    }
-    sockaddr_in bound{};
-    socklen_t bound_len = sizeof(bound);
-    if (getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) < 0) {
-      const Status st = Status::Internal(std::string("getsockname: ") +
-                                         std::strerror(errno));
-      close(listen_fd);
-      listen_fd = -1;
-      return st;
-    }
-    bound_port = ntohs(bound.sin_port);
-
-    accepting.store(true);
+    TOPODB_RETURN_NOT_OK(front.Start(options.port));
     running.store(true);
-    acceptor = std::thread([this] { AcceptLoop(); });
     return Status::OK();
   }
 
   Status ShutdownImpl() {
     if (!running.exchange(false)) return Status::OK();
     draining.store(true);
-    accepting.store(false);
-    shutdown(listen_fd, SHUT_RDWR);
-    acceptor.join();
-    close(listen_fd);
-    listen_fd = -1;
+    front.StopAccepting();
     // Sessions are synchronous: half-closing the read side lets each
-    // thread finish the request it is on (its response still goes out),
+    // reader finish the request it is on (its response still goes out),
     // then see EOF and exit.
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu);
-      for (const auto& session : sessions) shutdown(session->fd, SHUT_RD);
-    }
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu);
-      for (const auto& session : sessions) {
-        session->thread.join();
-        close(session->fd);
-      }
-      sessions.clear();
-    }
+    front.CloseSessions();
     if (checker.has_value()) checker->Stop();
     return Status::OK();
   }
 
-  void AcceptLoop() {
-    while (accepting.load()) {
-      const int fd = accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (!accepting.load()) {
-        close(fd);
-        break;
-      }
-      auto session = std::make_shared<Session>();
-      session->fd = fd;
-      {
-        std::lock_guard<std::mutex> lock(sessions_mu);
-        sessions.push_back(session);
-      }
-      session->thread =
-          std::thread([this, session] { SessionLoop(*session); });
+  // One frame at a time per session, handled synchronously on its reader
+  // thread: the blocking client holds one request in flight per
+  // connection, so concurrency comes from sessions (and from the scatter
+  // threads within a batch), not from pipelining.
+  void Serve(FrameSession& session, FrameRequest request) {
+    c_requests->Add();
+    std::string body;
+    Status status;
+    {
+      ScopedTimer timer(h_request_us);
+      status = Handle(request.opcode, request.payload, request.deadline,
+                      &body);
     }
-  }
-
-  // One frame at a time per session, handled synchronously: the blocking
-  // client holds one request in flight per connection, so concurrency
-  // comes from sessions (and from the scatter threads within a batch),
-  // not from pipelining.
-  void SessionLoop(Session& session) {
-    for (;;) {
-      char header_bytes[kWireHeaderBytes];
-      const ReadOutcome got =
-          ReadFull(session.fd, header_bytes, kWireHeaderBytes);
-      if (got.kind == ReadOutcome::kCleanClose) return;
-      if (got.kind != ReadOutcome::kOk) {
-        c_protocol_errors->Add();
-        return;
-      }
-      const Result<FrameHeader> header =
-          DecodeFrameHeader(std::string_view(header_bytes, kWireHeaderBytes));
-      if (!header.ok()) {
-        c_protocol_errors->Add();
-        WriteResponse(session.fd, 0, 0, header.status(), {});
-        shutdown(session.fd, SHUT_RDWR);
-        return;
-      }
-      std::string payload(header->payload_len, '\0');
-      if (header->payload_len > 0) {
-        const ReadOutcome pr =
-            ReadFull(session.fd, payload.data(), payload.size());
-        if (pr.kind != ReadOutcome::kOk) {
-          c_protocol_errors->Add();
-          shutdown(session.fd, SHUT_RDWR);
-          return;
-        }
-      }
-      if ((header->opcode & kWireResponseBit) != 0 ||
-          !IsKnownOpcode(header->opcode)) {
-        WriteResponse(session.fd, header->opcode, header->request_id,
-                      Status::Unsupported("unknown opcode " +
-                                          std::to_string(header->opcode)),
-                      {});
-        continue;
-      }
-      c_requests->Add();
-      const Deadline deadline =
-          header->deadline_budget_ms > 0
-              ? Deadline::AfterMillis(header->deadline_budget_ms)
-              : Deadline::Infinite();
-      std::string body;
-      Status status;
-      {
-        ScopedTimer timer(h_request_us);
-        status = Handle(header->opcode, payload, deadline, &body);
-      }
-      WriteResponse(session.fd, header->opcode, header->request_id, status,
-                    body);
-    }
-  }
-
-  // Sessions are single-threaded, so responses need no write lock.
-  void WriteResponse(int fd, uint16_t opcode, uint64_t request_id,
-                     const Status& status, std::string_view body) {
-    FrameHeader header;
-    header.opcode = static_cast<uint16_t>(opcode | kWireResponseBit);
-    header.request_id = request_id;
-    const std::string frame =
-        EncodeFrame(header, EncodeResponsePayload(status, body));
-    size_t off = 0;
-    while (off < frame.size()) {
-      const ssize_t n = send(fd, frame.data() + off, frame.size() - off,
-                             MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return;  // Peer gone; nothing to salvage on a one-way stream.
-      }
-      off += static_cast<size_t>(n);
-    }
+    front.Respond(session, request.opcode, request.request_id, status, body);
   }
 
   // --- Backend forwarding -------------------------------------------------
@@ -407,20 +245,9 @@ struct TopoDbRouter::Impl {
 
   Status HandleBatch(const std::string& payload, const Deadline& deadline,
                      std::string* body) {
-    WireReader reader(payload);
-    TOPODB_ASSIGN_OR_RETURN(uint32_t n, reader.ReadU32());
-    if (n > options.max_batch_items) {
-      return Status::InvalidArgument(
-          "batch of " + std::to_string(n) + " items exceeds the " +
-          std::to_string(options.max_batch_items) + "-item request cap");
-    }
-    std::vector<InstanceRef> refs;
-    refs.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      TOPODB_ASSIGN_OR_RETURN(InstanceRef ref, reader.ReadInstanceRef());
-      refs.push_back(std::move(ref));
-    }
-    TOPODB_RETURN_NOT_OK(reader.ExpectEnd());
+    TOPODB_ASSIGN_OR_RETURN(std::vector<InstanceRef> refs,
+                            DecodeBatchRequest(payload));
+    const size_t n = refs.size();
 
     // Per-item (wire status, canonical-or-message), positionally aligned
     // with the request.
@@ -516,7 +343,7 @@ struct TopoDbRouter::Impl {
                       "no serving shard"};
     }
 
-    AppendU32(body, n);
+    AppendU32(body, static_cast<uint32_t>(n));
     for (const auto& [wire_status, text] : results) {
       AppendU32(body, wire_status);
       AppendWireString(body, text);
@@ -700,7 +527,7 @@ TopoDbRouter::~TopoDbRouter() = default;
 
 Status TopoDbRouter::Start() { return impl_->StartImpl(); }
 
-uint16_t TopoDbRouter::port() const { return impl_->bound_port; }
+uint16_t TopoDbRouter::port() const { return impl_->front.port(); }
 
 Status TopoDbRouter::Shutdown() { return impl_->ShutdownImpl(); }
 

@@ -2,9 +2,10 @@
 #define TOPODB_SHARD_ROUTER_H_
 
 // The TopoDB shard router: a loopback TCP daemon speaking the wire
-// protocol of src/server/wire.h on the front and fanning out to a fleet
-// of topodb_server backends on the back through pooled TopoDbClient
-// connections (DESIGN.md §5i).
+// protocol of src/server/wire.h on the front — through the same front
+// door as topodb_server (src/server/frame_server.h) — and fanning out to
+// a fleet of topodb_server backends on the back through pooled
+// TopoDbClient connections (DESIGN.md §5i).
 //
 // Routing:
 //   - Single-instance opcodes (COMPUTE_INVARIANT, EVAL_QUERY, LOAD,
@@ -50,7 +51,6 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/client/client.h"
 #include "src/obs/metrics.h"
 #include "src/shard/topology.h"
 
@@ -66,18 +66,9 @@ struct RouterOptions {
   // Health probing. Disable to drive topology states manually in tests.
   bool health_checker = true;
   std::chrono::milliseconds health_interval{200};
+  // Bounds each probe's whole exchange — dial, PING, reply — so a shard
+  // that accepts but never answers reads as unhealthy.
   uint32_t health_probe_budget_ms = 1000;
-  // Backend-pool retry: on by default here (a dropped backend connection
-  // is routine during shard restarts), unlike the plain client default.
-  // Kept to one fast re-attempt — the ring walk, not the retry loop, is
-  // the failover mechanism.
-  RetryPolicy backend_retry{/*max_retries=*/1,
-                            /*initial_backoff=*/std::chrono::milliseconds(2),
-                            /*multiplier=*/2.0,
-                            /*max_backoff=*/std::chrono::milliseconds(50)};
-  size_t pool_max_idle = 8;
-  // Mirror of ServerOptions::max_batch_items for the front door.
-  size_t max_batch_items = 1024;
   // Metrics sink for router.* (nullptr = router-owned registry).
   MetricsRegistry* metrics = nullptr;
 };

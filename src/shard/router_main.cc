@@ -34,7 +34,8 @@ void Usage(const char* argv0) {
       "                       ids shard0, shard1, ... in flag order)\n"
       "  --vnodes N           virtual nodes per shard (default 64)\n"
       "  --health-ms N        health-probe interval (default 200)\n"
-      "  --probe-budget-ms N  per-probe PING budget (default 1000)\n"
+      "  --probe-budget-ms N  per-probe budget: dial, PING, reply\n"
+      "                       (default 1000)\n"
       "  --no-health          disable the background health checker\n",
       argv0);
 }

@@ -128,10 +128,11 @@ void HealthChecker::ProbeOnce() {
 
 ShardState HealthChecker::Probe(const ShardEndpoint& endpoint) const {
   // A fresh connection per probe: reusing a pooled one would report on
-  // the pool's socket, not on whether the backend still accepts work.
-  auto client = TopoDbClient::Connect(endpoint.port);
-  if (!client.ok()) return ShardState::kUnhealthy;
-  const Result<PingBody> pong = client->HealthPing(options_.probe_budget_ms);
+  // the pool's socket, not on whether the backend still accepts work. The
+  // budget bounds the whole exchange, so a backend that accepts but never
+  // answers is unhealthy rather than a prober stuck in recv.
+  const Result<PingBody> pong =
+      TopoDbClient::ProbeHealth(endpoint.port, options_.probe_budget_ms);
   if (!pong.ok()) {
     // A reachable-but-refusing backend ("server draining" from the
     // pre-body race window) is draining; anything else — transport

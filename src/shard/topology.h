@@ -110,8 +110,8 @@ class ShardTopology {
 
 struct HealthCheckerOptions {
   std::chrono::milliseconds interval{200};
-  // Budget for each probe PING; a backend that cannot turn a ping around
-  // in this window is treated as unhealthy.
+  // Budget for each probe's whole exchange (dial, PING, reply); a backend
+  // that cannot complete it in this window is treated as unhealthy.
   uint32_t probe_budget_ms = 1000;
 };
 

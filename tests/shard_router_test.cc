@@ -1,18 +1,27 @@
 // End-to-end tests for the shard router (src/shard/router.h): key
 // routing with byte-identical responses, scatter-gather batching,
 // catalog placement through LOAD/LIST/DESCRIBE, failover when a shard
-// dies or drains, merged metrics, and deadline forwarding — all against
-// live loopback topodb_server backends. Runs under TSan alongside
-// server_test (ci/run_ci.sh).
+// dies or drains, health probes bounded by their budget against a shard
+// that never answers, merged metrics, and deadline forwarding — all
+// against live loopback backends. Runs under TSan alongside server_test
+// (ci/run_ci.sh).
 
 #include "src/shard/router.h"
 
+#include <netinet/in.h>
 #include <stdlib.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -326,6 +335,72 @@ TEST(RouterTest, HealthCheckerObservesRealStates) {
   cluster.router->ProbeNow();
   EXPECT_EQ(cluster.router->topology().state(0), ShardState::kUnhealthy);
   EXPECT_EQ(cluster.router->topology().state(1), ShardState::kHealthy);
+}
+
+// Aborts the process if the test outlives `limit`: the failure this guards
+// against is a hang, which would otherwise stall the suite, not fail it.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : thread_([this, limit] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: test still running after %llds\n",
+                         static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+// A shard that listens but never accepts: the kernel completes every
+// probe's handshake into the backlog and takes its PING, and no reply ever
+// comes. The probe budget alone has to end each probe.
+TEST(RouterTest, UnresponsiveShardIsUnhealthyWithinTheProbeBudget) {
+  Watchdog watchdog(std::chrono::seconds(30));
+  const int mute = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(mute, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(bind(mute, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(listen(mute, 128), 0);
+  ASSERT_EQ(getsockname(mute, reinterpret_cast<sockaddr*>(&addr), &addr_len),
+            0);
+
+  constexpr uint32_t kBudgetMs = 200;
+  RouterOptions options;
+  options.shards.push_back({"mute", ntohs(addr.sin_port)});
+  options.health_interval = std::chrono::milliseconds(20);
+  options.health_probe_budget_ms = kBudgetMs;
+  TopoDbRouter router(options);
+  ASSERT_TRUE(router.Start().ok());  // Its startup sweep probes once.
+  EXPECT_EQ(router.topology().state(0), ShardState::kUnhealthy);
+
+  const auto start = std::chrono::steady_clock::now();
+  router.ProbeNow();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(kBudgetMs + 800));
+  EXPECT_EQ(router.topology().state(0), ShardState::kUnhealthy);
+
+  // The interval prober is mid-probe or between probes; either way the
+  // drain finishes.
+  EXPECT_TRUE(router.Shutdown().ok());
+  close(mute);
 }
 
 TEST(RouterTest, MetricsMergeFleetViewWithPerShardLabels) {

@@ -2,7 +2,8 @@
 // deterministically over a socketpair: short reads that must reassemble
 // into a full frame, EOF at a frame boundary (ordinary connection loss)
 // versus EOF mid-frame (a truncated frame that can never be resynced),
-// and the server-side truncated-frame counter.
+// and the truncated-frame counters of both front doors (server and
+// router).
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -19,6 +20,7 @@
 #include "src/client/pool.h"
 #include "src/server/server.h"
 #include "src/server/wire.h"
+#include "src/shard/router.h"
 
 namespace topodb {
 namespace {
@@ -194,13 +196,14 @@ uint64_t WaitForCounter(MetricsRegistry& registry, const std::string& name,
   return counter->value();
 }
 
-TEST(ServerTruncationTest, PartialFramesIncrementTruncatedFrameCounter) {
-  TopoDbServer server(ServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
-
+// Drives partial frames at one front door and checks its
+// <prefix>.truncated_frames counter.
+void ExpectTruncationsCounted(uint16_t port, MetricsRegistry& metrics,
+                              const std::string& prefix) {
+  const std::string truncated = prefix + ".truncated_frames";
   // Half a header, then EOF.
   {
-    const int fd = ConnectRaw(server.port());
+    const int fd = ConnectRaw(port);
     FrameHeader header;
     header.opcode = static_cast<uint16_t>(Opcode::kPing);
     header.request_id = 7;
@@ -208,12 +211,11 @@ TEST(ServerTruncationTest, PartialFramesIncrementTruncatedFrameCounter) {
     ASSERT_TRUE(WriteExact(fd, std::string_view(frame.data(), 8)));
     close(fd);
   }
-  EXPECT_EQ(WaitForCounter(server.metrics(), "server.truncated_frames", 1),
-            1u);
+  EXPECT_EQ(WaitForCounter(metrics, truncated, 1), 1u);
 
   // Full header announcing a payload, then EOF before the payload.
   {
-    const int fd = ConnectRaw(server.port());
+    const int fd = ConnectRaw(port);
     FrameHeader header;
     header.opcode = static_cast<uint16_t>(Opcode::kComputeInvariant);
     header.request_id = 8;
@@ -224,18 +226,37 @@ TEST(ServerTruncationTest, PartialFramesIncrementTruncatedFrameCounter) {
         WriteExact(fd, std::string_view(frame.data(), kWireHeaderBytes + 2)));
     close(fd);
   }
-  EXPECT_EQ(WaitForCounter(server.metrics(), "server.truncated_frames", 2),
-            2u);
+  EXPECT_EQ(WaitForCounter(metrics, truncated, 2), 2u);
 
   // A clean close at a frame boundary is NOT a truncated frame.
   {
-    const int fd = ConnectRaw(server.port());
+    const int fd = ConnectRaw(port);
     close(fd);
   }
-  EXPECT_EQ(WaitForCounter(server.metrics(), "server.connections", 3), 3u);
-  EXPECT_EQ(server.metrics().counter("server.truncated_frames")->value(), 2u);
+  EXPECT_EQ(WaitForCounter(metrics, prefix + ".connections", 3), 3u);
+  EXPECT_EQ(metrics.counter(truncated)->value(), 2u);
+}
 
-  server.Shutdown();
+// The server and the router share one framing loop; both are pinned.
+TEST(ServerTruncationTest, PartialFramesIncrementTruncatedFrameCounter) {
+  TopoDbServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  {
+    SCOPED_TRACE("server");
+    ExpectTruncationsCounted(server.port(), server.metrics(), "server");
+  }
+
+  RouterOptions options;
+  options.shards.push_back({"s0", server.port()});
+  options.health_checker = false;
+  TopoDbRouter router(options);
+  ASSERT_TRUE(router.Start().ok());
+  {
+    SCOPED_TRACE("router");
+    ExpectTruncationsCounted(router.port(), router.metrics(), "router");
+  }
+  EXPECT_TRUE(router.Shutdown().ok());
+  EXPECT_TRUE(server.Shutdown().ok());
 }
 
 // --- Transport-error classification and retry ------------------------------

@@ -352,6 +352,27 @@ TEST(WireMalformedTest, ReaderRejectsTruncationAndTrailingBytes) {
   EXPECT_FALSE(trailing.ExpectEnd().ok());  // 4 unread bytes.
 }
 
+// The one BATCH_INVARIANTS decoder the server and the router share: refs
+// round-trip in order, and a count past kMaxBatchItems is refused from the
+// count alone.
+TEST(WireMalformedTest, BatchRequestDecodesUpToTheItemCap) {
+  std::string payload;
+  AppendU32(&payload, 2);
+  AppendInstanceRef(&payload, InstanceRef::Text("A: (0 0, 1 0, 1 1)"));
+  AppendInstanceRef(&payload, InstanceRef::Name("fig1a"));
+  const auto refs = DecodeBatchRequest(payload);
+  ASSERT_TRUE(refs.ok()) << refs.status().ToString();
+  ASSERT_EQ(refs->size(), 2u);
+  EXPECT_EQ((*refs)[1].kind, InstanceRef::Kind::kCatalogName);
+  EXPECT_EQ((*refs)[1].value, "fig1a");
+  EXPECT_FALSE(DecodeBatchRequest(payload + "x").ok());  // Trailing byte.
+
+  std::string oversized;
+  AppendU32(&oversized, kMaxBatchItems + 1);
+  EXPECT_EQ(DecodeBatchRequest(oversized).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(WireMalformedTest, TruncatedResponsePayloadIsCleanError) {
   const std::string payload =
       EncodeResponsePayload(Status::NotFound("missing"), "");
