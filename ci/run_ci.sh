@@ -22,7 +22,8 @@
 #      DESCRIBE / ISO / BATCH through the CLI with @name catalog refs,
 #      assert the documented exit codes (NotFound=4 for an unknown name),
 #      EVAL_QUERY the catalog twice with equivalent spellings and pin a
-#      semantic-cache hit in the metrics export, then restart the server
+#      semantic-cache hit in the metrics export, check that all four caches
+#      export the same seven series, then restart the server
 #      on the same directory and serve again with no re-ingest — the
 #      durability contract, end to end over TCP.
 #   3c. Multi-shard loopback: two catalog-backed shards behind a
@@ -218,6 +219,21 @@ $client eval @fig1a "not (not connect(A, A))" | grep -qx "true" \
 $client metrics > ci/artifacts/catalog_metrics.json
 python3 ci/check_metrics_json.py ci/artifacts/catalog_metrics.json \
   --require-semcache
+# One metrics scheme for every cache: the same seven series under each of
+# the four prefixes, and every cache has seen at least one lookup.
+python3 - <<'EOF'
+import json
+doc = json.load(open("ci/artifacts/catalog_metrics.json"))
+for prefix in ("textcache", "invariant_cache", "enginecache", "semcache"):
+    counters = {name: doc["counters"].get(f"{prefix}.{name}") for name in
+                ("hits", "misses", "insertions", "evictions", "rejected")}
+    gauges = {name: doc["gauges"].get(f"{prefix}.{name}") for name in
+              ("entries", "bytes")}
+    assert all(isinstance(v, int) for v in counters.values()), (prefix, counters)
+    assert all(isinstance(v, int) for v in gauges.values()), (prefix, gauges)
+    assert counters["hits"] + counters["misses"] >= 1, (prefix, counters)
+print("cache metrics OK: 7 series under each of 4 prefixes")
+EOF
 # Unknown catalog names are NotFound (4) uniformly across opcodes.
 expect_exit 4 $client describe ghost
 expect_exit 4 $client invariant @ghost
@@ -413,7 +429,8 @@ if [[ "${1:-}" != "--no-sanitizers" ]]; then
   echo "==> sanitizers: TSan (concurrency, server, router, front door)"
   # A full TSan suite run would dominate CI wall-clock; these suites are
   # written to cover exactly the cross-thread access patterns (shared
-  # InvariantCache, shared MetricsRegistry, one engine serving many
+  # InvariantCache, BoundedCache caps under contention of both policies,
+  # shared MetricsRegistry, one engine serving many
   # threads, cancellation flipped mid-flight, the acceptor/reader/worker
   # handoffs of the serving layer, the front door's self-retiring
   # readers under connection churn and fd exhaustion, and the router's

@@ -133,9 +133,9 @@ std::vector<Result<TopologicalInvariant>> BatchComputeInvariants(
     options.metrics->counter("pipeline.cache_misses")
         ->Add(after.misses - cache_before.misses);
     options.metrics->gauge("invariant_cache.entries")
-        ->Set(static_cast<int64_t>(options.cache->size()));
+        ->Set(static_cast<int64_t>(after.entries));
     options.metrics->gauge("invariant_cache.bytes")
-        ->Set(static_cast<int64_t>(after.key_bytes + after.canonical_bytes));
+        ->Set(static_cast<int64_t>(after.bytes));
   }
   return results;
 }

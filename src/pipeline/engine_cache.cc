@@ -1,54 +1,29 @@
 #include "src/pipeline/engine_cache.h"
 
+#include <limits>
+#include <string>
+
 #include "src/region/io.h"
 
 namespace topodb {
 
 EngineCache::EngineCache(MetricsRegistry* metrics)
-    : hit_counter_(RegistryCounter(metrics, "enginecache.hits")),
-      miss_counter_(RegistryCounter(metrics, "enginecache.misses")) {}
+    : engines_(CachePolicy::kLru, kMaxEngines,
+               std::numeric_limits<size_t>::max(), nullptr, metrics,
+               "enginecache") {}
 
 Result<std::shared_ptr<const QueryEngine>> EngineCache::GetOrBuild(
     uint64_t entry_id, uint32_t format_version,
     std::string_view instance_text) {
-  const Key key(entry_id, format_version);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = engines_.find(key);
-    if (it != engines_.end()) {
-      ++stats_.hits;
-      CounterAdd(hit_counter_);
-      return it->second;
-    }
-    ++stats_.misses;
-    CounterAdd(miss_counter_);
-  }
-
-  TOPODB_ASSIGN_OR_RETURN(SpatialInstance instance,
-                          ParseInstanceText(std::string(instance_text)));
-  TOPODB_ASSIGN_OR_RETURN(QueryEngine engine, QueryEngine::Build(instance));
-  auto built = std::make_shared<const QueryEngine>(std::move(engine));
-
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = engines_.emplace(key, built);
-  // On a lost race the earlier engine is the canonical one; both were
-  // built from the same bytes, so either answers identically.
-  return it->second;
-}
-
-EngineCache::Stats EngineCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t EngineCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return engines_.size();
-}
-
-void EngineCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  engines_.clear();
+  return engines_.GetOrCompute(
+      {entry_id, format_version},
+      [&]() -> Result<std::shared_ptr<const QueryEngine>> {
+        TOPODB_ASSIGN_OR_RETURN(SpatialInstance instance,
+                                ParseInstanceText(std::string(instance_text)));
+        TOPODB_ASSIGN_OR_RETURN(QueryEngine engine,
+                                QueryEngine::Build(instance));
+        return std::make_shared<const QueryEngine>(std::move(engine));
+      });
 }
 
 }  // namespace topodb

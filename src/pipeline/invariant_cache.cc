@@ -1,7 +1,5 @@
 #include "src/pipeline/invariant_cache.h"
 
-#include <algorithm>
-
 #include "src/arrangement/label.h"
 
 namespace topodb {
@@ -54,54 +52,19 @@ std::string StructuralKey(const InvariantData& data) {
   return key;
 }
 
-uint64_t StructuralDigest(const InvariantData& data) {
-  const std::string key = StructuralKey(data);
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+InvariantCache::InvariantCache(MetricsRegistry* metrics)
+    : canonicals_(
+          CachePolicy::kLru, kMaxEntries, kMaxBytes,
+          [](const Key& key, const std::string& canonical) {
+            return key.first.size() + canonical.size();
+          },
+          metrics, "invariant_cache") {}
 
 Result<std::string> InvariantCache::Canonical(const InvariantData& data,
                                               const CanonicalOptions& options) {
-  const std::string key = StructuralKey(data);
-  uint64_t digest = 1469598103934665603ULL;
-  for (char c : key) {
-    digest ^= static_cast<unsigned char>(c);
-    digest *= 1099511628211ULL;
-  }
-  const int bits = OptionBits(options);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(digest);
-    if (it != entries_.end()) {
-      for (const Entry& entry : it->second) {
-        if (entry.option_bits == bits && entry.key == key) {
-          ++stats_.hits;
-          return entry.canonical;
-        }
-      }
-    }
-  }
-  // Compute outside the lock: canonicalization dominates, and concurrent
-  // workers computing the same value converge to one entry below.
-  TOPODB_ASSIGN_OR_RETURN(std::string canonical,
-                          CanonicalInvariantString(data, options));
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.misses;
-  std::vector<Entry>& bucket = entries_[digest];
-  const bool present =
-      std::any_of(bucket.begin(), bucket.end(), [&](const Entry& entry) {
-        return entry.option_bits == bits && entry.key == key;
-      });
-  if (!present) {
-    stats_.key_bytes += key.size();
-    stats_.canonical_bytes += canonical.size();
-    bucket.push_back(Entry{key, bits, canonical});
-  }
-  return canonical;
+  return canonicals_.GetOrCompute(
+      {StructuralKey(data), OptionBits(options)},
+      [&] { return CanonicalInvariantString(data, options); });
 }
 
 Result<bool> InvariantCache::Isomorphic(const InvariantData& a,
@@ -119,26 +82,6 @@ Result<bool> InvariantCache::IsotopyEquivalent(const InvariantData& a,
   TOPODB_ASSIGN_OR_RETURN(std::string ca, Canonical(a, options));
   TOPODB_ASSIGN_OR_RETURN(std::string cb, Canonical(b, options));
   return ca == cb;
-}
-
-InvariantCache::Stats InvariantCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t InvariantCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t total = 0;
-  for (const auto& [digest, bucket] : entries_) total += bucket.size();
-  return total;
-}
-
-void InvariantCache::Clear() {
-  // One lock covers both resets: no interleaving can observe cleared
-  // entries with stale stats (or vice versa).
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  stats_ = Stats{};
 }
 
 }  // namespace topodb

@@ -1,16 +1,15 @@
 #ifndef TOPODB_PIPELINE_INVARIANT_CACHE_H_
 #define TOPODB_PIPELINE_INVARIANT_CACHE_H_
 
-#include <cstdint>
-#include <mutex>
+#include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/invariant/canonical.h"
 #include "src/invariant/data.h"
+#include "src/obs/metrics.h"
+#include "src/pipeline/bounded_cache.h"
 
 namespace topodb {
 
@@ -22,32 +21,22 @@ namespace topodb {
 // canonical form, which retries the flag traversal from every dart.
 std::string StructuralKey(const InvariantData& data);
 
-// 64-bit FNV-1a digest of the structural key: the cheap first-level index
-// (dart count, label multiset, region names and the rest of the structure
-// all feed it). Collisions are possible and handled by comparing full
-// keys.
-uint64_t StructuralDigest(const InvariantData& data);
-
-// Memoizes CanonicalInvariantString results. Lookup is two-level: the
-// structural digest buckets candidates, the full structural key confirms
-// the hit, so a cached answer is always exactly what the uncached
-// computation would return. Thread-safe; one instance can be shared by
-// all workers of a batch (see batch.h).
+// Memoizes CanonicalInvariantString results, keyed by the full structural
+// key plus the option bits, so a cached answer is always exactly what the
+// uncached computation would return. LRU within kMaxEntries and kMaxBytes;
+// an entry charges its key and canonical sizes. Thread-safe; one instance
+// can be shared by all workers of a batch (see batch.h).
 class InvariantCache {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    // Resident memory of the memo: bytes of stored structural keys and
-    // canonical strings across all entries (entry count is size()). Lets
-    // the metrics layer export cache footprint without walking the map.
-    uint64_t key_bytes = 0;
-    uint64_t canonical_bytes = 0;
-  };
+  // About 4x what a 12-s invariant_stream ledger run leaves resident (1490
+  // entries, 15.2 MB), so that workload never evicts.
+  static constexpr size_t kMaxEntries = 16384;
+  static constexpr size_t kMaxBytes = size_t{64} << 20;
+  using Stats = CacheStats;
 
-  InvariantCache() = default;
-  InvariantCache(const InvariantCache&) = delete;
-  InvariantCache& operator=(const InvariantCache&) = delete;
+  // `metrics` (optional, must outlive the cache) receives the
+  // invariant_cache.* series (see bounded_cache.h).
+  explicit InvariantCache(MetricsRegistry* metrics = nullptr);
 
   // Cache-through equivalent of CanonicalInvariantString(data, options).
   Result<std::string> Canonical(const InvariantData& data,
@@ -61,22 +50,14 @@ class InvariantCache {
   Result<bool> IsotopyEquivalent(const InvariantData& a,
                                  const InvariantData& b);
 
-  Stats stats() const;
-  size_t size() const;
-  void Clear();
+  Stats stats() const { return canonicals_.stats(); }
+  size_t size() const { return canonicals_.size(); }
 
  private:
-  // One memoized canonical form; option bits distinguish the four
-  // CanonicalOptions variants of the same structure.
-  struct Entry {
-    std::string key;
-    int option_bits;
-    std::string canonical;
-  };
-
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::vector<Entry>> entries_;
-  Stats stats_;
+  // (structural key, option bits): the bits tell the four CanonicalOptions
+  // variants of one structure apart.
+  using Key = std::pair<std::string, int>;
+  BoundedCache<Key, std::string, PairHash> canonicals_;
 };
 
 }  // namespace topodb

@@ -1,15 +1,13 @@
 #ifndef TOPODB_PIPELINE_SEMANTIC_CACHE_H_
 #define TOPODB_PIPELINE_SEMANTIC_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <string>
 
 #include "src/base/status.h"
 #include "src/obs/metrics.h"
+#include "src/pipeline/bounded_cache.h"
 #include "src/query/eval.h"
 
 namespace topodb {
@@ -38,64 +36,20 @@ namespace topodb {
 struct SemanticCacheOptions {
   // Entry-count and byte ceilings; least-recently-used entries are
   // evicted when either would be exceeded. Bytes are accounted as key
-  // size plus a fixed per-entry overhead estimate.
+  // size plus a fixed per-entry overhead estimate. Zero entries disables
+  // the cache.
   size_t max_entries = 4096;
   size_t max_bytes = size_t{4} << 20;
-  // Optional sink for semcache.{hits,misses,evictions,insertions}
-  // counters and semcache.{entries,bytes} gauges (topodb.metrics.v2).
-  // Must outlive the cache.
+  // Optional sink for the semcache.* series (see bounded_cache.h). Must
+  // outlive the cache.
   MetricsRegistry* metrics = nullptr;
 };
 
-class SemanticCache {
+// Lookup(key) returns the cached verdict; Insert(key, verdict). A key
+// wider than max_bytes is rejected.
+class SemanticCache : public BoundedCache<std::string, bool> {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t insertions = 0;
-  };
-
   explicit SemanticCache(SemanticCacheOptions options = {});
-  SemanticCache(const SemanticCache&) = delete;
-  SemanticCache& operator=(const SemanticCache&) = delete;
-
-  // The verdict for the key, refreshing its recency; nullopt on miss.
-  std::optional<bool> Lookup(const std::string& key);
-
-  // Inserts (or refreshes) a verdict, evicting LRU entries to stay
-  // within bounds. A key wider than max_bytes is ignored.
-  void Insert(const std::string& key, bool verdict);
-
-  Stats stats() const;
-  size_t size() const;
-  size_t bytes() const;
-  void Clear();
-
- private:
-  struct Entry {
-    std::string key;
-    bool verdict = false;
-  };
-
-  // Caller must hold mu_.
-  void EvictWhileOverLimitLocked(size_t incoming_bytes);
-  void ExportGaugesLocked();
-  static size_t EntryBytes(const std::string& key);
-
-  const SemanticCacheOptions options_;
-  Counter* hits_;
-  Counter* misses_;
-  Counter* evictions_;
-  Counter* insertions_;
-  Gauge* entries_gauge_;
-  Gauge* bytes_gauge_;
-
-  mutable std::mutex mu_;
-  std::list<Entry> lru_;  // Front = most recent.
-  std::map<std::string, std::list<Entry>::iterator> index_;
-  size_t bytes_ = 0;
-  Stats stats_;
 };
 
 // The verdict-relevant slice of EvalOptions, rendered deterministically:

@@ -10,77 +10,52 @@
 // structural cache — text identity is a fast path, not the identity
 // scheme.
 //
-// Eviction policy: admission-capped, not LRU. The serving workload this
-// cache exists for is a round-robin sweep over a working set of distinct
-// instances (closed-loop batch clients); when the working set exceeds the
-// capacity, LRU evicts every entry just before its next use and the hit
-// rate collapses to zero, while first-in-wins admission keeps a stable
-// resident subset and degrades linearly (hits = capacity / working set).
-// Since a miss costs a full parse + build, the stable subset wins. This
-// is also what makes shard scaling effective: each shard pins the subset
-// of keys the ring routes to it, so the aggregate resident set grows
-// linearly with the number of shards (see DESIGN.md §5i).
+// Eviction policy: admission-capped (CachePolicy::kAdmit), not LRU. The
+// serving workload this cache exists for is a round-robin sweep over a
+// working set of distinct instances (closed-loop batch clients); when the
+// working set exceeds the capacity, LRU evicts every entry just before its
+// next use and the hit rate collapses to zero, while first-in-wins
+// admission keeps a stable resident subset and degrades linearly (hits =
+// capacity / working set). Since a miss costs a full parse + build, the
+// stable subset wins. This is also what makes shard scaling effective:
+// each shard pins the subset of keys the ring routes to it, so the
+// aggregate resident set grows linearly with the number of shards (see
+// DESIGN.md §5i).
 //
 // Errors are never inserted (the server only stores successful
 // canonicals), and a hit does no pipeline work, so it charges nothing
 // against a request's deadline budget.
-//
-// Thread safety: all methods lock one mutex; the serving path touches the
-// cache once per item, never per element.
 
-#include <cstdint>
-#include <optional>
+#include <cstddef>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-
-#include <mutex>
 
 #include "src/obs/metrics.h"
+#include "src/pipeline/bounded_cache.h"
 
 namespace topodb {
 
 struct TextCacheOptions {
   // Admission bounds; an insert that would exceed either is rejected
-  // (counted in textcache.rejected). Zero entries disables the cache:
-  // Lookup always misses and Insert is a no-op.
+  // (counted in textcache.rejected). Bytes charge text + canonical sizes.
+  // Zero entries disables the cache.
   size_t max_entries = 4096;
   size_t max_bytes = size_t{16} << 20;
-  // Optional sink for textcache.{hits,misses,insertions,rejected}
-  // counters and textcache.{entries,bytes} gauges.
+  // Optional sink for the textcache.* series (see bounded_cache.h).
   MetricsRegistry* metrics = nullptr;
 };
 
-class TextInvariantCache {
+// Lookup(text) returns the cached canonical; Insert(text, canonical).
+class TextInvariantCache : public BoundedCache<std::string, std::string> {
  public:
-  explicit TextInvariantCache(const TextCacheOptions& options);
+  explicit TextInvariantCache(const TextCacheOptions& options)
+      : BoundedCache(
+            CachePolicy::kAdmit, options.max_entries, options.max_bytes,
+            [](const std::string& text, const std::string& canonical) {
+              return text.size() + canonical.size();
+            },
+            options.metrics, "textcache") {}
 
-  TextInvariantCache(const TextInvariantCache&) = delete;
-  TextInvariantCache& operator=(const TextInvariantCache&) = delete;
-
-  // The cached canonical for `text`, or nullopt on a miss.
-  std::optional<std::string> Lookup(std::string_view text);
-
-  // Caches text -> canonical if neither bound would be exceeded; a
-  // duplicate key is a no-op (first insert wins). Byte accounting charges
-  // key + value sizes.
-  void Insert(std::string_view text, std::string_view canonical);
-
-  size_t entries() const;
-  size_t bytes() const;
-
- private:
-  const TextCacheOptions options_;
-  Counter* c_hits_;
-  Counter* c_misses_;
-  Counter* c_insertions_;
-  Counter* c_rejected_;
-  Gauge* g_entries_;
-  Gauge* g_bytes_;
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::string> map_;
-  size_t bytes_ = 0;
+  size_t entries() const { return size(); }
 };
 
 }  // namespace topodb

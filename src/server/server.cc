@@ -27,6 +27,7 @@ struct TopoDbServer::Impl {
       : options(std::move(opts)),
         registry(options.metrics != nullptr ? options.metrics
                                             : &owned_metrics),
+        cache(registry),
         engine_cache(registry),
         sem_cache(SemanticCacheOptions{options.semantic_cache_entries,
                                        options.semantic_cache_bytes,
@@ -412,7 +413,7 @@ struct TopoDbServer::Impl {
           // Catalog refs have a durable identity (the entry id is the
           // payload checksum), so their verdicts are cacheable; a
           // re-ingest changes the id and routes around stale entries.
-          if (options.semantic_cache) {
+          if (options.semantic_cache_entries > 0) {
             eval.semantic_cache = &sem_cache;
             eval.cache_entry_id = entry->entry_id();
             eval.cache_format_version = entry->view().format_version();

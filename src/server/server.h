@@ -72,9 +72,8 @@ struct ServerOptions {
   bool plan_queries = true;
   // Serve repeated catalog-backed EVAL_QUERY requests from the semantic
   // verdict cache (src/pipeline/semantic_cache.h). Only catalog refs are
-  // cached — inline text has no durable identity. Entry/byte bounds
-  // below; evictions are LRU.
-  bool semantic_cache = true;
+  // cached — inline text has no durable identity. Entry/byte bounds;
+  // evictions are LRU, and 0 entries disables (no key is even built).
   size_t semantic_cache_entries = 4096;
   size_t semantic_cache_bytes = size_t{4} << 20;
   // Cache canonical invariant responses for inline-text refs keyed by the

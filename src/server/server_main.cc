@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-plan") == 0) {
       options.plan_queries = false;
     } else if (std::strcmp(arg, "--no-semcache") == 0) {
-      options.semantic_cache = false;
+      options.semantic_cache_entries = 0;
     } else if (std::strcmp(arg, "--semcache-entries") == 0 && has_value) {
       options.semantic_cache_entries =
           static_cast<size_t>(ParseLongOrDie(arg, argv[++i]));

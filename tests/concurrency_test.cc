@@ -4,7 +4,9 @@
 // (filtered via `ctest -R ConcurrencyTest`), so every cross-thread
 // access pattern the serving path supports should be exercised here.
 
+#include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "src/obs/deadline.h"
 #include "src/obs/metrics.h"
 #include "src/pipeline/batch.h"
+#include "src/pipeline/bounded_cache.h"
 #include "src/pipeline/invariant_cache.h"
 #include "src/pipeline/query_batch.h"
 #include "src/query/eval.h"
@@ -167,6 +170,61 @@ TEST(ConcurrencyTest, QueryBatchCancellationMidFlightIsObservedSafely) {
     if (!result.ok()) {
       EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
           << result.status().ToString();
+    }
+  }
+}
+
+TEST(ConcurrencyTest, BoundedCacheHoldsItsCapsUnderContention) {
+  // Four threads run Lookup, Insert and GetOrCompute on one of 32 keys per
+  // round, against room for 8 entries or 16 bytes, whichever binds first.
+  // A thread's GetOrCompute can hit the entry it has just inserted, so
+  // both policies see hits however the threads are scheduled. Every 5th
+  // key's compute fails, and nothing inserts those keys any other way.
+  constexpr size_t kMaxEntries = 8;
+  constexpr size_t kMaxBytes = 16;
+  constexpr int kKeys = 32;
+  constexpr int kFailEvery = 5;
+  auto value_for = [](int key) { return std::string(1 + key % 4, 'v'); };
+  for (CachePolicy policy : {CachePolicy::kAdmit, CachePolicy::kLru}) {
+    BoundedCache<int, std::string> cache(
+        policy, kMaxEntries, kMaxBytes,
+        [](const int&, const std::string& value) { return value.size(); },
+        nullptr, "");
+    std::atomic<uint64_t> lookups{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < 1000; ++round) {
+          const int key = (round * 7 + t * 13) % kKeys;
+          const bool poisoned = key % kFailEvery == 0;
+          ++lookups;
+          if (std::optional<std::string> hit = cache.Lookup(key)) {
+            EXPECT_FALSE(poisoned) << key;
+            EXPECT_EQ(*hit, value_for(key));
+          }
+          if (!poisoned) cache.Insert(key, value_for(key));
+          ++lookups;
+          const Result<std::string> got =
+              cache.GetOrCompute(key, [&]() -> Result<std::string> {
+                if (poisoned) return Status::Internal("planted failure");
+                return value_for(key);
+              });
+          EXPECT_EQ(got.ok(), !poisoned) << key;
+          if (got.ok()) {
+            EXPECT_EQ(*got, value_for(key));
+          }
+          const CacheStats stats = cache.stats();
+          EXPECT_LE(stats.entries, kMaxEntries);
+          EXPECT_LE(stats.bytes, kMaxBytes);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    const CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+    EXPECT_GT(stats.hits, 0u);
+    for (int key = 0; key < kKeys; key += kFailEvery) {
+      EXPECT_EQ(cache.Lookup(key), std::nullopt) << key;
     }
   }
 }

@@ -1,6 +1,6 @@
 // EngineCache tests: hit/miss accounting, identity of cached engines,
-// invalidation by key (entry id and format version), and that build
-// failures are not cached.
+// invalidation by key (entry id and format version), that build failures
+// are not cached, and the LRU entry cap.
 
 #include "src/pipeline/engine_cache.h"
 
@@ -60,6 +60,29 @@ TEST(EngineCacheTest, CachedEngineAnswersQueries) {
   EXPECT_EQ(cache.size(), 0u);
   const auto verdict = held->Evaluate("connect(A, B)");
   ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+}
+
+TEST(EngineCacheTest, LruCapBoundsResidentEnginesAndHeldEnginesSurvive) {
+  EngineCache cache;
+  const auto held = cache.GetOrBuild(0, 1, kText);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  // cap + 1 distinct entry ids, as re-ingests churn them: the least
+  // recently used one, id 0, is evicted.
+  for (uint64_t id = 1; id <= EngineCache::kMaxEngines; ++id) {
+    ASSERT_TRUE(cache.GetOrBuild(id, 1, kText).ok()) << id;
+  }
+  EXPECT_EQ(cache.size(), EngineCache::kMaxEngines);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  const uint64_t misses = cache.stats().misses;
+  const auto rebuilt = cache.GetOrBuild(0, 1, kText);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  EXPECT_NE(rebuilt->get(), held->get());
+  EXPECT_EQ(cache.size(), EngineCache::kMaxEngines);
+  // The engine held across its eviction still answers.
+  const auto verdict = (*held)->Evaluate("connect(A, B)");
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_TRUE(*verdict);
 }
 
 }  // namespace

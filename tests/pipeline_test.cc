@@ -73,6 +73,32 @@ TEST(InvariantCacheTest, MalformedDataErrorsAndIsNotCached) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(InvariantCacheTest, LruCapsBoundEntriesAndBytes) {
+  // cap + 1 distinct tiny structures: one region, renamed each time.
+  const InvariantData base = *ComputeInvariant(SingleRegionInstance());
+  auto renamed = [&base](size_t i) {
+    InvariantData data = base;
+    data.region_names[0] = "R" + std::to_string(i);
+    return data;
+  };
+  InvariantCache cache;
+  for (size_t i = 0; i <= InvariantCache::kMaxEntries; ++i) {
+    const InvariantData data = renamed(i);
+    const Result<std::string> cached = cache.Canonical(data);
+    ASSERT_TRUE(cached.ok()) << i;
+    ASSERT_EQ(*cached, *CanonicalInvariantString(data)) << i;
+  }
+  EXPECT_EQ(cache.size(), InvariantCache::kMaxEntries);
+  EXPECT_LE(cache.stats().bytes, InvariantCache::kMaxBytes);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  // The oldest structure was the one evicted: it misses again.
+  const uint64_t misses = cache.stats().misses;
+  EXPECT_EQ(*cache.Canonical(renamed(0)),
+            *CanonicalInvariantString(renamed(0)));
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  EXPECT_EQ(cache.size(), InvariantCache::kMaxEntries);
+}
+
 TEST(StructuralKeyTest, LengthPrefixKeepsNameListsDistinct) {
   InvariantData a, b;
   a.region_names = {"a,b"};

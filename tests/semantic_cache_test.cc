@@ -1,7 +1,8 @@
 // Tests for the semantic verdict cache (src/pipeline/semantic_cache.h):
-// LRU bounds, key structure (entry identity, options fingerprint,
-// canonical query), the cache-hit contract (no budget consumed, deadline
-// still enforced), and the errors-are-never-cached rule.
+// its semcache.* series, key structure (entry identity, options
+// fingerprint, canonical query), the cache-hit contract (no budget
+// consumed, deadline still enforced), and the errors-are-never-cached
+// rule. The LRU mechanism itself is tested in bounded_cache_test.cc.
 
 #include <optional>
 #include <string>
@@ -15,55 +16,6 @@
 
 namespace topodb {
 namespace {
-
-TEST(SemanticCacheTest, LookupInsertAndLruEviction) {
-  SemanticCacheOptions options;
-  options.max_entries = 3;
-  SemanticCache cache(options);
-
-  EXPECT_EQ(cache.Lookup("a"), std::nullopt);
-  cache.Insert("a", true);
-  cache.Insert("b", false);
-  cache.Insert("c", true);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.Lookup("a"), std::optional<bool>(true));
-  EXPECT_EQ(cache.Lookup("b"), std::optional<bool>(false));
-
-  // "c" is now least recent; a fourth insert evicts it, not "a" or "b".
-  cache.Insert("d", true);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.Lookup("c"), std::nullopt);
-  EXPECT_EQ(cache.Lookup("a"), std::optional<bool>(true));
-  EXPECT_EQ(cache.Lookup("d"), std::optional<bool>(true));
-
-  const SemanticCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.insertions, 4u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.hits, 4u);
-  EXPECT_EQ(stats.misses, 2u);
-
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-}
-
-TEST(SemanticCacheTest, ByteBoundEvictsAndOversizedKeysAreIgnored) {
-  SemanticCacheOptions options;
-  options.max_bytes = 400;  // Room for ~3 small entries (96B overhead each).
-  SemanticCache cache(options);
-
-  cache.Insert(std::string(200, 'k'), true);  // Fits alone.
-  EXPECT_EQ(cache.size(), 1u);
-  cache.Insert(std::string(200, 'm'), true);  // Evicts the first.
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_LE(cache.bytes(), options.max_bytes);
-
-  // A key that could never fit is dropped without disturbing the cache.
-  cache.Insert(std::string(1000, 'x'), true);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Lookup(std::string(200, 'm')), std::optional<bool>(true));
-}
 
 TEST(SemanticCacheTest, MetricsExportThroughRegistry) {
   MetricsRegistry registry;

@@ -1,4 +1,5 @@
-// TextInvariantCache: admission-cap semantics and metrics accounting.
+// TextInvariantCache: its key + value byte charge and its textcache.*
+// series. The admission mechanism itself is tested in bounded_cache_test.cc.
 
 #include "src/pipeline/text_cache.h"
 
@@ -20,46 +21,6 @@ TEST(TextCacheTest, LookupAfterInsertHits) {
                                std::string("canonical-A").size());
 }
 
-TEST(TextCacheTest, FirstInsertWins) {
-  TextInvariantCache cache(TextCacheOptions{});
-  cache.Insert("k", "first");
-  cache.Insert("k", "second");
-  EXPECT_EQ(*cache.Lookup("k"), "first");
-  EXPECT_EQ(cache.entries(), 1u);
-}
-
-TEST(TextCacheTest, EntryCapRejectsNotEvicts) {
-  TextCacheOptions options;
-  options.max_entries = 2;
-  TextInvariantCache cache(options);
-  cache.Insert("a", "1");
-  cache.Insert("b", "2");
-  cache.Insert("c", "3");  // Over the cap: rejected, residents untouched.
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  EXPECT_TRUE(cache.Lookup("b").has_value());
-  EXPECT_FALSE(cache.Lookup("c").has_value());
-}
-
-TEST(TextCacheTest, ByteCapRejects) {
-  TextCacheOptions options;
-  options.max_bytes = 10;
-  TextInvariantCache cache(options);
-  cache.Insert("aaaa", "bbbb");                  // 8 bytes: fits.
-  cache.Insert("cc", "dd");                      // Would be 12: rejected.
-  EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_FALSE(cache.Lookup("cc").has_value());
-}
-
-TEST(TextCacheTest, ZeroEntriesDisables) {
-  TextCacheOptions options;
-  options.max_entries = 0;
-  TextInvariantCache cache(options);
-  cache.Insert("a", "1");
-  EXPECT_FALSE(cache.Lookup("a").has_value());
-  EXPECT_EQ(cache.entries(), 0u);
-}
-
 TEST(TextCacheTest, MetricsCountHitsMissesAndRejections) {
   MetricsRegistry registry;
   TextCacheOptions options;
@@ -76,34 +37,6 @@ TEST(TextCacheTest, MetricsCountHitsMissesAndRejections) {
   EXPECT_EQ(registry.counter("textcache.insertions")->value(), 1u);
   EXPECT_EQ(registry.counter("textcache.rejected")->value(), 1u);
   EXPECT_EQ(registry.gauge("textcache.entries")->value(), 1);
-}
-
-// The policy rationale, as an executable statement: under a cyclic sweep
-// of a working set larger than capacity, first-in-wins admission keeps a
-// stable resident subset (hits ~ capacity/working-set per pass). An LRU
-// would score zero on exactly this access pattern.
-TEST(TextCacheTest, CyclicSweepKeepsStableResidents) {
-  MetricsRegistry registry;
-  TextCacheOptions options;
-  options.max_entries = 4;
-  options.metrics = &registry;
-  TextInvariantCache cache(options);
-  const int working_set = 12;
-  auto sweep = [&] {
-    for (int i = 0; i < working_set; ++i) {
-      const std::string key = "inst-" + std::to_string(i);
-      if (!cache.Lookup(key).has_value()) cache.Insert(key, "canon");
-    }
-  };
-  sweep();  // Fill pass: admits the first 4, rejects the rest.
-  const uint64_t misses_after_fill =
-      registry.counter("textcache.misses")->value();
-  sweep();
-  sweep();
-  // Every later pass hits the 4 residents and misses the other 8.
-  EXPECT_EQ(registry.counter("textcache.misses")->value(),
-            misses_after_fill + 2 * (working_set - 4));
-  EXPECT_EQ(registry.counter("textcache.hits")->value(), 2u * 4u);
 }
 
 }  // namespace
