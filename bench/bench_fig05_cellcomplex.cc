@@ -43,8 +43,8 @@ void ReportFig5() {
 // Filtered vs pure-rational predicates on the Fig-5 workloads plus the
 // multi-limb stretch from the exactness ablation — the adversarial case for
 // the static filter stage, since the stretched coordinates fall far outside
-// the exact-small-integer range and every predicate needs at least the
-// interval stage.
+// the exact-small-integer range, so no zero can be certified in doubles
+// and every collinear configuration goes to the exact tier.
 void ReportPredicateFilter() {
   bench::PredicateFilterReport report("bench_fig05_cellcomplex");
   report.Row("chain(32)", Unwrap(ChainInstance(32)));
@@ -58,7 +58,6 @@ void ReportPredicateFilter() {
   report.Row("stretch-96bit(chain 8)",
              Unwrap(stretch.ApplyToInstance(Unwrap(ChainInstance(8)))));
   report.WriteJsonIfRequested();
-  report.WriteExactArithJsonIfRequested();
 }
 
 void BM_BuildChain(benchmark::State& state) {

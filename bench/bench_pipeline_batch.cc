@@ -96,9 +96,9 @@ void ReportPredicateFilter() {
     report.Row(name, Unwrap(RandomRectInstance(n, 12 * n, 42)));
   }
   if (!SmokeMode()) {
-    // Larger coordinates: the arena where filtering pays off most, since
-    // the pure-rational baseline's multiplication cost grows with operand
-    // bit-length while the certified double stages do not. 40-bit integer
+    // Larger coordinates: where filtering pays off most, since the
+    // pure-rational baseline's multiplication cost grows with operand
+    // bit-length while the certified double stage's does not. 40-bit integer
     // coordinates model survey/CAD-scale fixed-point data; the stretched
     // variant forces non-integer rationals through the whole overlay.
     report.Row("random-rect(128) 40-bit",
@@ -113,7 +113,6 @@ void ReportPredicateFilter() {
                    Unwrap(RandomRectInstance(64, 12 * 64, 42)))));
   }
   report.WriteJsonIfRequested();
-  report.WriteExactArithJsonIfRequested();
 }
 
 void ReportCache() {

@@ -41,16 +41,12 @@ inline void Header(const char* title) {
 }
 
 // Filtered-vs-exact predicate comparison shared by the arrangement benches:
-// times CellComplex construction with the four-stage arithmetic filter on
-// and off (both settings build bit-identical complexes), collects the
-// per-stage predicates.* hit counters of one filtered build, and writes the
-// rows as a topodb.bench_predicates.v1 JSON artifact when
-// TOPODB_BENCH_PREDICATES_JSON=<path> is set (CI archives and validates it;
-// a full run is checked in as BENCH_predicates.json). When
-// TOPODB_BENCH_EXACT_ARITH_JSON=<path> is set, the same rows are also
-// written as a topodb.bench_exact_arith.v1 artifact (adds the
-// expansion-stage counter); ci/check_bench_exact_arith.py compares its
-// filtered timings against the checked-in PR 6 baseline rows.
+// times CellComplex construction with the semi-static double filter on and
+// off (both settings build bit-identical complexes), collects the
+// predicates.{static_hits,exact_fallbacks} counters of one filtered build,
+// and writes the rows as JSON artifacts on request (WriteJsonIfRequested;
+// CI archives and validates them, and full runs are checked in as
+// BENCH_predicates.json and BENCH_exact_arith.json).
 class PredicateFilterReport {
  public:
   explicit PredicateFilterReport(const char* bench_name)
@@ -58,7 +54,7 @@ class PredicateFilterReport {
     Header("Predicate filter: pure-rational vs filtered arrangement build");
     std::printf("%-22s | %10s | %10s | %7s | %s\n", "workload", "exact",
                 "filtered", "speedup",
-                "hits static/interval/expansion/exact");
+                "hits static/exact");
     std::printf("%-22s | %10s | %10s | %7s |\n", "", "(ms)", "(ms)", "");
   }
 
@@ -92,63 +88,38 @@ class PredicateFilterReport {
     counted.metrics = &registry;
     Unwrap(CellComplex::Build(instance, counted));
     e.static_hits = registry.counter("predicates.static_hits")->value();
-    e.interval_hits = registry.counter("predicates.interval_hits")->value();
-    e.expansion_hits = registry.counter("predicates.expansion_hits")->value();
     e.exact_fallbacks =
         registry.counter("predicates.exact_fallbacks")->value();
-    std::printf("%-22s | %10.2f | %10.2f | %6.1fx | %llu/%llu/%llu/%llu\n",
+    std::printf("%-22s | %10.2f | %10.2f | %6.1fx | %llu/%llu\n",
                 e.name.c_str(), e.exact_ms, e.filtered_ms,
                 e.filtered_ms > 0 ? e.exact_ms / e.filtered_ms : 0.0,
                 static_cast<unsigned long long>(e.static_hits),
-                static_cast<unsigned long long>(e.interval_hits),
-                static_cast<unsigned long long>(e.expansion_hits),
                 static_cast<unsigned long long>(e.exact_fallbacks));
     entries_.push_back(std::move(e));
   }
 
+  // Writes the rows as topodb.bench_predicates.v1 to
+  // $TOPODB_BENCH_PREDICATES_JSON and as topodb.bench_exact_arith.v1 to
+  // $TOPODB_BENCH_EXACT_ARITH_JSON, each only when its variable is set. The
+  // filtered timings of the second are what ci/check_bench_exact_arith.py
+  // holds against the baseline's (>=2x on stretch-* rows, >=1.5x elsewhere).
   void WriteJsonIfRequested() const {
-    const char* path = std::getenv("TOPODB_BENCH_PREDICATES_JSON");
-    if (path == nullptr || path[0] == '\0') return;
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write TOPODB_BENCH_PREDICATES_JSON=%s\n",
-                   path);
-      std::exit(1);
-    }
-    std::fprintf(f, "{\n  \"schema\": \"topodb.bench_predicates.v1\",\n");
-    std::fprintf(f, "  \"bench\": \"%s\",\n  \"workloads\": [", bench_name_);
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      std::fprintf(
-          f,
-          "%s\n    {\"name\": \"%s\", \"exact_ms\": %.3f, "
-          "\"filtered_ms\": %.3f, \"speedup\": %.2f, \"static_hits\": %llu, "
-          "\"interval_hits\": %llu, \"exact_fallbacks\": %llu}",
-          i ? "," : "", e.name.c_str(), e.exact_ms, e.filtered_ms,
-          e.filtered_ms > 0 ? e.exact_ms / e.filtered_ms : 0.0,
-          static_cast<unsigned long long>(e.static_hits),
-          static_cast<unsigned long long>(e.interval_hits),
-          static_cast<unsigned long long>(e.exact_fallbacks));
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("predicate bench JSON written to %s\n", path);
+    WriteRows("TOPODB_BENCH_PREDICATES_JSON", "topodb.bench_predicates.v1",
+              "predicate");
+    WriteRows("TOPODB_BENCH_EXACT_ARITH_JSON", "topodb.bench_exact_arith.v1",
+              "exact-arith");
   }
 
-  // Same rows under the exact-arithmetic schema, which carries all four
-  // filter-stage counters. The filtered timings here are what
-  // ci/check_bench_exact_arith.py holds against the PR 6 baseline's
-  // filtered timings (>=2x on stretch-* rows, >=1.5x elsewhere).
-  void WriteExactArithJsonIfRequested() const {
-    const char* path = std::getenv("TOPODB_BENCH_EXACT_ARITH_JSON");
+ private:
+  void WriteRows(const char* env, const char* schema, const char* what) const {
+    const char* path = std::getenv(env);
     if (path == nullptr || path[0] == '\0') return;
     std::FILE* f = std::fopen(path, "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "cannot write TOPODB_BENCH_EXACT_ARITH_JSON=%s\n",
-                   path);
+      std::fprintf(stderr, "cannot write %s=%s\n", env, path);
       std::exit(1);
     }
-    std::fprintf(f, "{\n  \"schema\": \"topodb.bench_exact_arith.v1\",\n");
+    std::fprintf(f, "{\n  \"schema\": \"%s\",\n", schema);
     std::fprintf(f, "  \"bench\": \"%s\",\n  \"workloads\": [", bench_name_);
     for (size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
@@ -156,28 +127,22 @@ class PredicateFilterReport {
           f,
           "%s\n    {\"name\": \"%s\", \"exact_ms\": %.3f, "
           "\"filtered_ms\": %.3f, \"speedup\": %.2f, \"static_hits\": %llu, "
-          "\"interval_hits\": %llu, \"expansion_hits\": %llu, "
           "\"exact_fallbacks\": %llu}",
           i ? "," : "", e.name.c_str(), e.exact_ms, e.filtered_ms,
           e.filtered_ms > 0 ? e.exact_ms / e.filtered_ms : 0.0,
           static_cast<unsigned long long>(e.static_hits),
-          static_cast<unsigned long long>(e.interval_hits),
-          static_cast<unsigned long long>(e.expansion_hits),
           static_cast<unsigned long long>(e.exact_fallbacks));
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
-    std::printf("exact-arith bench JSON written to %s\n", path);
+    std::printf("%s bench JSON written to %s\n", what, path);
   }
 
- private:
   struct Entry {
     std::string name;
     double exact_ms = 0;
     double filtered_ms = 0;
     uint64_t static_hits = 0;
-    uint64_t interval_hits = 0;
-    uint64_t expansion_hits = 0;
     uint64_t exact_fallbacks = 0;
   };
 

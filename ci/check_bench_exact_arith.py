@@ -4,19 +4,16 @@
 Usage: check_bench_exact_arith.py <path> [--baseline BENCH_predicates.json]
 
 The artifact carries the same exact-vs-filtered arrangement-build rows as
-the predicate-filter artifact plus the expansion-stage hit counter
-(ISSUE 7). Without --baseline, the check is structural: well-formed JSON,
-known schema, positive timings, non-negative counters, at least one row.
+the predicate-filter artifact. Without --baseline, the check is
+structural: well-formed JSON, known schema, positive timings, non-negative
+counters, at least one row.
 
 With --baseline, each baseline workload row must reappear in the artifact
 (matched by name, tolerating an added "<bench>: " prefix on either side)
 and its new filtered build time must beat the baseline's filtered build
-time by the ISSUE 7 floors: >= 2.0x on stretch-* rows (where the expansion
-stage replaces rational fallbacks) and >= 1.5x elsewhere (where the inline
-BigInt representation and the limb arena remove the allocator from the
-hot path). Baseline rows are the PR 6 numbers checked in as
-BENCH_predicates.json; comparing filtered-to-filtered isolates exactly the
-work this issue did.
+time by fixed floors: >= 2.0x on stretch-* rows and >= 1.5x elsewhere.
+Baseline rows are the numbers checked in as BENCH_predicates.json, so the
+comparison is filtered-to-filtered on the same workloads.
 """
 import json
 import sys
@@ -28,12 +25,9 @@ ROW_FIELDS = [
     "filtered_ms",
     "speedup",
     "static_hits",
-    "interval_hits",
-    "expansion_hits",
     "exact_fallbacks",
 ]
-COUNTER_FIELDS = ["static_hits", "interval_hits", "expansion_hits",
-                  "exact_fallbacks"]
+COUNTER_FIELDS = ["static_hits", "exact_fallbacks"]
 STRETCH_FLOOR = 2.0
 DEFAULT_FLOOR = 1.5
 

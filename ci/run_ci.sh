@@ -43,11 +43,10 @@
 #      SIGTERM — a leaked fd per connection or an unbounded probe fails
 #      the stage instead of hanging it.
 #   4. Rebuild the test suite under ASan+UBSan (with float-cast-overflow)
-#      in build-asan/ and run it — this is what runs the predicate-filter,
-#      expansion-stage and BigInt fast-path differential fuzz suites with
-#      sanitized float<->int conversions, and what proves the limb-arena
-#      lifetime rules (a use-after-reset or double free of an arena block
-#      is an ASan error, not a silent corruption).
+#      in build-asan/ and run it — this is what runs the predicate-filter
+#      and BigInt fast-path differential fuzz suites with sanitized
+#      float<->int conversions, and what checks LimbVec's inline/heap
+#      transitions for out-of-bounds access and double frees.
 #   5. Rebuild under TSan in build-tsan/ and run the ConcurrencyTest,
 #      ServerTest, RouterTest, ServerTruncationTest and FrontDoorTest
 #      suites (shared caches, shared registries, parallel fan-out,

@@ -13,7 +13,6 @@
 
 #include "src/arrangement/broadphase.h"
 #include "src/base/check.h"
-#include "src/base/limb_arena.h"
 #include "src/geom/polygon.h"
 #include "src/geom/predicates.h"
 
@@ -135,14 +134,6 @@ class CellComplexBuilder {
     ScopedPredicateMode predicate_mode(options_.exact_predicates
                                            ? PredicateMode::kExact
                                            : PredicateMode::kFiltered);
-    // Bulk-reset arena for the build's rational temporaries. Everything the
-    // complex keeps (vertex points, edge chains, dart directions) is
-    // detached before returning; the builder's own members may still hold
-    // arena-backed values when they destruct after Run returns, which is
-    // safe because ~LimbVec never dereferences an arena block. Off in exact
-    // mode so the oracle build shares no machinery with the fast one.
-    std::optional<ScopedLimbArena> arena;
-    if (options_.limb_arena && !options_.exact_predicates) arena.emplace();
     pred_start_ = LocalPredicateFilterStats();
     complex_.region_names_ = instance_.names();
     CollectSegments();
@@ -163,7 +154,6 @@ class CellComplexBuilder {
     TOPODB_RETURN_NOT_OK(AssignCyclesToFaces());
     TOPODB_RETURN_NOT_OK(PropagateFaceLabels());
     ComputeEdgeAndVertexLabels();
-    if (arena.has_value()) DetachComplex();
     FlushMetrics();
     return std::move(complex_);
   }
@@ -802,27 +792,6 @@ class CellComplexBuilder {
     }
   }
 
-  // Copies every rational the finished complex owns out of the build arena
-  // (vertex coordinates, edge chain geometry, dart rotation directions);
-  // after reduction most values fit back in BigInt's inline limb buffer, so
-  // this rarely allocates. Labels, indices and names hold no limb storage.
-  void DetachComplex() {
-    for (auto& vertex : complex_.vertices_) {
-      vertex.point.x.Detach();
-      vertex.point.y.Detach();
-    }
-    for (auto& edge : complex_.edges_) {
-      for (Point& p : edge.chain) {
-        p.x.Detach();
-        p.y.Detach();
-      }
-    }
-    for (auto& dart : complex_.darts_) {
-      dart.direction.x.Detach();
-      dart.direction.y.Detach();
-    }
-  }
-
   void FlushMetrics() {
     MetricsRegistry* m = options_.metrics;
     if (m == nullptr) return;
@@ -836,16 +805,12 @@ class CellComplexBuilder {
         ->Record(static_cast<double>(complex_.edges_.size()));
     m->histogram("arrangement.faces")
         ->Record(static_cast<double>(complex_.faces_.size()));
-    // Per-stage predicate filter effectiveness for this build (deltas of
-    // the thread-local tallies; builds run single-threaded so the deltas
-    // are exactly this build's). All zero under exact_predicates.
+    // Predicate filter effectiveness for this build (deltas of the
+    // thread-local tallies; builds run single-threaded so the deltas are
+    // exactly this build's). All zero under exact_predicates.
     const PredicateFilterStats& now = LocalPredicateFilterStats();
     m->counter("predicates.static_hits")
         ->Add(now.static_hits - pred_start_.static_hits);
-    m->counter("predicates.interval_hits")
-        ->Add(now.interval_hits - pred_start_.interval_hits);
-    m->counter("predicates.expansion_hits")
-        ->Add(now.expansion_hits - pred_start_.expansion_hits);
     m->counter("predicates.exact_fallbacks")
         ->Add(now.exact_fallbacks - pred_start_.exact_fallbacks);
   }

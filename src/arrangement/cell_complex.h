@@ -29,22 +29,15 @@ enum class BroadPhase {
 struct ArrangementOptions {
   BroadPhase broad_phase = BroadPhase::kGrid;
   // Run every geometric predicate on the pure rational path, skipping the
-  // double/interval filter stages (see src/geom/predicates.h). Both settings
+  // semi-static double filter (see src/geom/predicates.h). Both settings
   // produce bit-identical complexes — the filter may only ever answer
   // "uncertain", never a wrong sign — so this exists for differential
   // testing and as the reference when benchmarking the filter.
   bool exact_predicates = false;
-  // Back the build's temporary BigInt limb storage (piece endpoints,
-  // intersection points, sweep ordering keys, gcd chains) with a bump-reset
-  // LimbArena (src/base/limb_arena.h) instead of per-object heap blocks;
-  // escaping values are detached before the complex is returned. Forced off
-  // under exact_predicates so the exact build stays a plain textbook
-  // reference for differential tests (an arena bug could never corrupt both
-  // builds identically).
-  bool limb_arena = true;
   // Optional sink for build metrics (broad-phase candidate pairs vs exact
-  // intersections found, per-stage predicate filter hits, cell counts, build
-  // wall time). nullptr disables collection at near-zero cost.
+  // intersections found, predicate filter hits and exact fallbacks, cell
+  // counts, build wall time). nullptr disables collection at near-zero
+  // cost.
   MetricsRegistry* metrics = nullptr;
 };
 

@@ -98,17 +98,6 @@ class BigInt {
 
   std::string ToString() const;
 
-  // Magnitude limb access (little-endian base 2^32, no leading zeros).
-  // Used by the expansion predicate stage to decompose values into exact
-  // double components without round-tripping through strings.
-  size_t LimbCount() const { return limbs_.size(); }
-  uint32_t Limb(size_t i) const { return limbs_[i]; }
-
-  // Copies arena-backed limb storage onto the normal heap (or back inline);
-  // see LimbVec::Detach. Must be called on values escaping a
-  // ScopedLimbArena's scope.
-  void Detach() { limbs_.Detach(); }
-
   friend bool operator==(const BigInt& a, const BigInt& b) {
     return a.Compare(b) == 0;
   }

@@ -24,18 +24,20 @@ inline double NextDown(double v) {
 inline double NextUp(double v) { return -NextDown(-v); }
 
 // Closed interval [lo, hi] of doubles certified to contain one exact real
-// value. This is the middle stage of the predicate filter (DESIGN.md §5e):
-// arithmetic on intervals rounds every bound outward, so a sign read off an
-// interval is a sign of the exact value — the interval may only ever say
-// "uncertain" (straddles zero), never report a wrong sign.
+// value. The arrangement builder (src/arrangement/cell_complex.cc) keys its
+// cut-point sorts and boundary-cycle area signs on these, falling back to
+// exact rationals only when an interval straddles zero: arithmetic on
+// intervals rounds every bound outward, so a sign read off an interval is a
+// sign of the exact value — the interval may only ever say "uncertain",
+// never report a wrong sign.
 //
 // Directed rounding is implemented without touching the FPU rounding mode:
 // each bound is computed round-to-nearest, then the exact residual of the
 // operation (Knuth TwoSum for +/-) decides whether an outward one-ulp step
 // is needed. Exact operations therefore keep intervals tight, and a
-// degenerate [0, 0] stays exactly zero through sums and products — which is
-// what lets the interval stage certify collinearity for exactly-representable
-// inputs instead of falling back to rationals.
+// degenerate [0, 0] stays exactly zero through sums and products, so
+// exactly-representable inputs certify exact zeros instead of falling back
+// to rationals.
 //
 // Invariants: lo <= hi, lo < +inf, hi > -inf (overflowed bounds saturate to
 // +/-DBL_MAX on the finite side and +/-inf on the outward side). NaN never

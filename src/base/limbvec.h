@@ -6,25 +6,18 @@
 #include <cstring>
 #include <new>
 
-#include "src/base/limb_arena.h"
-
 namespace topodb {
 
 // Small-buffer vector of base-2^32 limbs backing BigInt.
 //
 // The geometry pipeline overwhelmingly produces values of one or two limbs
 // (coordinates, cross products of ~32-bit inputs), for which a
-// std::vector's mandatory heap block is pure overhead: profiling PR 6
-// showed small-integer arrangement construction bottlenecked on
-// malloc/free of 4-byte limb buffers. LimbVec stores up to kInlineCapacity
-// limbs (256 bits — enough for products of two 128-bit values) directly in
-// the object and only promotes to heap storage beyond that.
-//
-// The heap block comes from the thread's active LimbArena when one is
-// installed (see limb_arena.h), in which case this object does not own it:
-// the destructor never touches arena blocks (so destruction after the
-// arena resets is safe), and Detach() must be called on any value that
-// outlives the arena scope.
+// std::vector's mandatory heap block is pure overhead: a malloc/free per
+// 4-byte limb buffer would dominate small-integer arrangement construction.
+// LimbVec stores up to kInlineCapacity limbs (256 bits — enough for
+// products of two 128-bit values) directly in the object and spills to a
+// heap block it owns beyond that. Copies and moves behave like
+// std::vector's, so a value may outlive the scope that computed it.
 //
 // The representation is discriminated by capacity_: heap storage always has
 // capacity strictly greater than kInlineCapacity, so
@@ -60,11 +53,10 @@ class LimbVec {
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return capacity_; }
   bool is_inline() const { return capacity_ == kInlineCapacity; }
-  bool from_arena() const { return !is_inline() && u_.heap.from_arena; }
 
-  uint32_t* data() { return is_inline() ? u_.inline_limbs : u_.heap.ptr; }
+  uint32_t* data() { return is_inline() ? u_.inline_limbs : u_.heap; }
   const uint32_t* data() const {
-    return is_inline() ? u_.inline_limbs : u_.heap.ptr;
+    return is_inline() ? u_.inline_limbs : u_.heap;
   }
 
   uint32_t& operator[](size_t i) { return data()[i]; }
@@ -105,44 +97,13 @@ class LimbVec {
     size_ = static_cast<uint32_t>(n);
   }
 
-  // If the backing block belongs to a LimbArena, copies the contents out of
-  // it — back inline when they fit (the common case after Rational
-  // reduction), otherwise onto the normal heap, deliberately bypassing any
-  // active arena. Required before a value may outlive its arena's scope,
-  // and it must be the *escaping object* that is detached, last: copying a
-  // detached value while the arena is still active produces an arena-backed
-  // copy again.
-  void Detach() {
-    if (is_inline() || !u_.heap.from_arena) return;
-    const uint32_t* old = u_.heap.ptr;
-    if (size_ <= kInlineCapacity) {
-      uint32_t tmp[kInlineCapacity];
-      std::memcpy(tmp, old, size_ * sizeof(uint32_t));
-      capacity_ = kInlineCapacity;
-      std::memcpy(u_.inline_limbs, tmp, size_ * sizeof(uint32_t));
-    } else {
-      uint32_t* fresh =
-          static_cast<uint32_t*>(::operator new(size_t{size_} * sizeof(uint32_t)));
-      std::memcpy(fresh, old, size_ * sizeof(uint32_t));
-      u_.heap.ptr = fresh;
-      u_.heap.from_arena = false;
-      capacity_ = size_;
-    }
-    // The arena block itself is reclaimed by the arena's Reset.
-  }
-
  private:
-  static uint32_t* AllocateBlock(size_t n, bool* from_arena) {
-    if (LimbArena* arena = ActiveLimbArena()) {
-      *from_arena = true;
-      return arena->Allocate(n);
-    }
-    *from_arena = false;
+  static uint32_t* AllocateBlock(size_t n) {
     return static_cast<uint32_t*>(::operator new(n * sizeof(uint32_t)));
   }
 
   void FreeHeap() {
-    if (!is_inline() && !u_.heap.from_arena) ::operator delete(u_.heap.ptr);
+    if (!is_inline()) ::operator delete(u_.heap);
   }
 
   // Requires *this to be in the freshly-reset inline state.
@@ -152,11 +113,8 @@ class LimbVec {
       // Copies shrink back inline even when the source spilled to heap.
       std::memcpy(u_.inline_limbs, other.data(), other.size_ * sizeof(uint32_t));
     } else {
-      bool from_arena;
-      uint32_t* block = AllocateBlock(other.size_, &from_arena);
-      std::memcpy(block, other.data(), other.size_ * sizeof(uint32_t));
-      u_.heap.ptr = block;
-      u_.heap.from_arena = from_arena;
+      u_.heap = AllocateBlock(other.size_);
+      std::memcpy(u_.heap, other.data(), other.size_ * sizeof(uint32_t));
       capacity_ = other.size_;
     }
   }
@@ -181,14 +139,12 @@ class LimbVec {
   void GrowImpl(size_t need, bool preserve) {
     size_t new_cap = size_t{capacity_} * 2;
     if (new_cap < need) new_cap = need;
-    bool from_arena;
-    uint32_t* block = AllocateBlock(new_cap, &from_arena);
+    uint32_t* block = AllocateBlock(new_cap);
     if (preserve && size_ > 0) {
       std::memcpy(block, data(), size_ * sizeof(uint32_t));
     }
     FreeHeap();
-    u_.heap.ptr = block;
-    u_.heap.from_arena = from_arena;
+    u_.heap = block;
     capacity_ = static_cast<uint32_t>(new_cap);
   }
 
@@ -197,10 +153,7 @@ class LimbVec {
   union U {
     U() {}  // Leaves storage uninitialized; discriminated by capacity_.
     uint32_t inline_limbs[kInlineCapacity];
-    struct {
-      uint32_t* ptr;
-      bool from_arena;
-    } heap;
+    uint32_t* heap;
   } u_;
 };
 

@@ -100,13 +100,6 @@ class Rational {
   // "num" when integral, otherwise "num/den".
   std::string ToString() const;
 
-  // Copies any arena-backed limb storage out of the active LimbArena (see
-  // limb_arena.h); required before a value escapes a ScopedLimbArena scope.
-  void Detach() {
-    num_.Detach();
-    den_.Detach();
-  }
-
   friend bool operator==(const Rational& a, const Rational& b) {
     return a.Compare(b) == 0;
   }

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "src/base/check.h"
-#include "src/base/expansion.h"
-#include "src/base/interval.h"
 
 namespace topodb {
 
@@ -119,8 +117,8 @@ bool FSign(const FErr& x, int* sign) {
 
 // Approximates one rational coordinate for the static stage. Returns false
 // when no bound can be certified (operands too large for the conversion
-// error analysis above); the caller then skips straight to the interval
-// stage.
+// error analysis above); the caller then falls back to the exact rational
+// evaluation.
 bool StaticApprox(const Rational& r, FErr* out) {
   if (r.is_zero()) {
     *out = FErr{0.0, 0.0, 0};
@@ -196,72 +194,18 @@ bool StaticCompare(const Rational& a, const Rational& b, int* sign) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage 2: interval filter.
+// Filtered sign dispatch: the static stage, then the exact rational
+// evaluation, with per-stage bookkeeping. The exact evaluation is passed as
+// a callable so the rational temporaries are only materialized on
+// fallback.
 // ---------------------------------------------------------------------------
 
-bool IntervalOrientationSign(const Point& p0, const Point& p1, const Point& p2,
-                             int* sign) {
-  const IntervalDouble ax = p0.x.ToIntervalDouble();
-  const IntervalDouble ay = p0.y.ToIntervalDouble();
-  const IntervalDouble det =
-      (p1.x.ToIntervalDouble() - ax) * (p2.y.ToIntervalDouble() - ay) -
-      (p1.y.ToIntervalDouble() - ay) * (p2.x.ToIntervalDouble() - ax);
-  return det.CertifiedSign(sign);
-}
-
-bool IntervalCrossSign(const Point& u, const Point& v, int* sign) {
-  const IntervalDouble cross =
-      u.x.ToIntervalDouble() * v.y.ToIntervalDouble() -
-      u.y.ToIntervalDouble() * v.x.ToIntervalDouble();
-  return cross.CertifiedSign(sign);
-}
-
-bool IntervalDotSign(const Point& u, const Point& v, int* sign) {
-  const IntervalDouble dot = u.x.ToIntervalDouble() * v.x.ToIntervalDouble() +
-                             u.y.ToIntervalDouble() * v.y.ToIntervalDouble();
-  return dot.CertifiedSign(sign);
-}
-
-bool IntervalAlongSign(const Point& p, const Point& q, const Point& d,
-                       int* sign) {
-  const IntervalDouble dot =
-      (p.x.ToIntervalDouble() - q.x.ToIntervalDouble()) *
-          d.x.ToIntervalDouble() +
-      (p.y.ToIntervalDouble() - q.y.ToIntervalDouble()) *
-          d.y.ToIntervalDouble();
-  return dot.CertifiedSign(sign);
-}
-
-bool IntervalCompare(const Rational& a, const Rational& b, int* sign) {
-  return (a.ToIntervalDouble() - b.ToIntervalDouble()).CertifiedSign(sign);
-}
-
-// ---------------------------------------------------------------------------
-// Filtered sign dispatch: static -> interval -> expansion -> exact, with
-// per-stage bookkeeping. The exact evaluation is passed as a callable so the
-// rational temporaries are only materialized on fallback. The expansion
-// stage (src/base/expansion.h) is itself exact — it answers every sign its
-// input envelope admits, zero included — so reaching the rational fallback
-// now requires coordinates with large denominators (e.g. constructed
-// intersection points under extreme stretch).
-// ---------------------------------------------------------------------------
-
-template <typename StaticStage, typename IntervalStage, typename ExpansionStage,
-          typename ExactStage>
-int FilteredSign(const StaticStage& stage1, const IntervalStage& stage2,
-                 const ExpansionStage& stage3, const ExactStage& exact) {
+template <typename StaticStage, typename ExactStage>
+int FilteredSign(const StaticStage& stage, const ExactStage& exact) {
   if (tls_mode == PredicateMode::kExact) return exact();
   int sign = 0;
-  if (stage1(&sign)) {
+  if (stage(&sign)) {
     ++tls_stats.static_hits;
-    return sign;
-  }
-  if (stage2(&sign)) {
-    ++tls_stats.interval_hits;
-    return sign;
-  }
-  if (stage3(&sign)) {
-    ++tls_stats.expansion_hits;
     return sign;
   }
   ++tls_stats.exact_fallbacks;
@@ -270,11 +214,8 @@ int FilteredSign(const StaticStage& stage1, const IntervalStage& stage2,
 
 // Filtered comparison of two rational scalars (sign of a - b).
 int CompareFiltered(const Rational& a, const Rational& b) {
-  return FilteredSign(
-      [&](int* s) { return StaticCompare(a, b, s); },
-      [&](int* s) { return IntervalCompare(a, b, s); },
-      [&](int* s) { return ExpansionCompareSign(a, b, s); },
-      [&] { return a.Compare(b); });
+  return FilteredSign([&](int* s) { return StaticCompare(a, b, s); },
+                      [&] { return a.Compare(b); });
 }
 
 // p.x (resp. y) within the closed coordinate range spanned by a and b,
@@ -316,10 +257,6 @@ int OrientationExact(const Point& a, const Point& b, const Point& c) {
 int Orientation(const Point& a, const Point& b, const Point& c) {
   return FilteredSign(
       [&](int* s) { return StaticOrientationSign(a, b, c, s); },
-      [&](int* s) { return IntervalOrientationSign(a, b, c, s); },
-      [&](int* s) {
-        return ExpansionOrientation(a.x, a.y, b.x, b.y, c.x, c.y, s);
-      },
       [&] { return OrientationExact(a, b, c); });
 }
 
@@ -441,8 +378,8 @@ SegmentIntersection IntersectSegments(const Point& a, const Point& b,
   //
   // The four orientations share the eight coordinates, so the static stage
   // converts each coordinate once and evaluates all four determinants on
-  // the batch; a sign the batch cannot certify falls back to the full
-  // three-stage Orientation for that determinant alone.
+  // the batch; a sign the batch cannot certify falls back to the filtered
+  // Orientation for that determinant alone.
   FErr ax, ay, bx, by, cx, cy, dx, dy;
   const bool stat =
       StaticApprox(a.x, &ax) && StaticApprox(a.y, &ay) &&
@@ -486,19 +423,13 @@ int HalfPlaneRank(const Point& u) {
 }
 
 int CrossSignFiltered(const Point& u, const Point& v) {
-  return FilteredSign(
-      [&](int* s) { return StaticCrossSign(u, v, s); },
-      [&](int* s) { return IntervalCrossSign(u, v, s); },
-      [&](int* s) { return ExpansionCrossSign(u.x, u.y, v.x, v.y, s); },
-      [&] { return Cross(u, v).sign(); });
+  return FilteredSign([&](int* s) { return StaticCrossSign(u, v, s); },
+                      [&] { return Cross(u, v).sign(); });
 }
 
 int DotSignFiltered(const Point& u, const Point& v) {
-  return FilteredSign(
-      [&](int* s) { return StaticDotSign(u, v, s); },
-      [&](int* s) { return IntervalDotSign(u, v, s); },
-      [&](int* s) { return ExpansionDotSign(u.x, u.y, v.x, v.y, s); },
-      [&] { return Dot(u, v).sign(); });
+  return FilteredSign([&](int* s) { return StaticDotSign(u, v, s); },
+                      [&] { return Dot(u, v).sign(); });
 }
 
 }  // namespace
@@ -540,10 +471,6 @@ int CompareAlongDirectionExact(const Point& p, const Point& q,
 int CompareAlongDirection(const Point& p, const Point& q, const Point& dir) {
   return FilteredSign(
       [&](int* s) { return StaticAlongSign(p, q, dir, s); },
-      [&](int* s) { return IntervalAlongSign(p, q, dir, s); },
-      [&](int* s) {
-        return ExpansionAlongSign(p.x, p.y, q.x, q.y, dir.x, dir.y, s);
-      },
       [&] { return CompareAlongDirectionExact(p, q, dir); });
 }
 

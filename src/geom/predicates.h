@@ -12,22 +12,17 @@ namespace topodb {
 // Exact geometric predicates. Every return value is a decision, never an
 // approximation; robustness of the whole cell-complex pipeline rests here.
 //
-// Each predicate runs as a four-stage arithmetic filter (DESIGN.md §5e-f):
+// Each predicate runs in two tiers (DESIGN.md §5e-f):
 //   1. semi-static double filter — evaluate in doubles alongside a certified
 //      absolute error bound; conclusive when |value| exceeds the bound (or
 //      when every input is a small exact integer, in which case the double
 //      result is the exact value, zero included);
-//   2. interval filter — re-evaluate in outward-rounded IntervalDouble
-//      arithmetic (src/base/interval.h);
-//   3. expansion stage — exact evaluation in fixed-size floating-point
-//      expansions (src/base/expansion.h) when the inputs fit its envelope
-//      (small denominators, numerators up to 128 bits); decides every sign,
-//      zero included, at a fraction of rational cost;
-//   4. exact rational fallback — the original arbitrary-precision path.
-// A filter stage may only ever answer "certain" or "uncertain", never a
-// wrong sign, so every predicate below returns the same decision the pure
+//   2. exact rational evaluation — the arbitrary-precision path, which
+//      decides every sign the filter leaves uncertain.
+// The filter may only ever answer "certain" or "uncertain", never a wrong
+// sign, so every predicate below returns the same decision the pure
 // rational evaluation would — only faster. The *Exact variants skip the
-// filters entirely and are kept callable for differential testing.
+// filter entirely and are kept callable for differential testing.
 
 // Sign of the signed area of triangle (a, b, c):
 //   +1  c lies to the left of directed line a->b (counterclockwise turn),
@@ -93,8 +88,6 @@ int CompareAlongDirectionExact(const Point& p, const Point& q,
 // pipeline workers never contend or cross-pollute.
 struct PredicateFilterStats {
   uint64_t static_hits = 0;      // resolved by the semi-static double filter
-  uint64_t interval_hits = 0;    // resolved by interval arithmetic
-  uint64_t expansion_hits = 0;   // resolved by the expansion stage
   uint64_t exact_fallbacks = 0;  // required the exact rational evaluation
 };
 const PredicateFilterStats& LocalPredicateFilterStats();
@@ -102,7 +95,7 @@ const PredicateFilterStats& LocalPredicateFilterStats();
 // --- Evaluation mode ------------------------------------------------------
 
 // Per-thread predicate evaluation mode. In kExact mode the filtered entry
-// points above skip both filter stages and run pure rational arithmetic
+// points above skip the filter and run pure rational arithmetic
 // (without touching the stats), so a differential test or an
 // ArrangementOptions{exact_predicates = true} build exercises the exact
 // path end to end — including predicates reached indirectly, e.g. through

@@ -84,7 +84,6 @@ void AppendPingBody(std::string* out, const PingBody& body) {
 
 Result<PingBody> DecodePingBody(std::string_view body) {
   PingBody decoded;
-  if (body.empty()) return decoded;  // Pre-body server: serving.
   WireReader reader(body);
   TOPODB_ASSIGN_OR_RETURN(decoded.state, reader.ReadU8());
   TOPODB_ASSIGN_OR_RETURN(decoded.queue_depth, reader.ReadU32());

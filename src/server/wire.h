@@ -116,8 +116,6 @@ inline constexpr uint8_t kPingStateServing = 0;
 inline constexpr uint8_t kPingStateDraining = 1;
 
 void AppendPingBody(std::string* out, const PingBody& body);
-// An empty body decodes to the defaults (serving, unknown queue): servers
-// that predate the body are read as healthy rather than failing the probe.
 Result<PingBody> DecodePingBody(std::string_view body);
 
 struct FrameHeader {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "src/arrangement/cell_complex.h"
 #include "src/invariant/canonical.h"
 #include "src/invariant/data.h"
 #include "src/invariant/s_invariant.h"
@@ -153,6 +154,7 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
 
 Catalog::Catalog(const CatalogOptions& options)
     : directory_(options.directory),
+      metrics_(options.metrics),
       hits_(RegistryCounter(options.metrics, "catalog.hits")),
       misses_(RegistryCounter(options.metrics, "catalog.misses")),
       ingests_(RegistryCounter(options.metrics, "catalog.ingests")),
@@ -287,7 +289,11 @@ Result<std::shared_ptr<const CatalogEntry>> Catalog::Ingest(
   // how their text was formatted, and the text section is byte-stable
   // under further parse/write round trips.
   stored.instance_text = WriteInstanceText(instance);
-  TOPODB_ASSIGN_OR_RETURN(stored.invariant, ComputeInvariant(instance));
+  ArrangementOptions arrangement;
+  arrangement.metrics = metrics_;
+  TOPODB_ASSIGN_OR_RETURN(CellComplex complex,
+                          CellComplex::Build(instance, arrangement));
+  stored.invariant = InvariantData::FromComplex(complex);
   TOPODB_RETURN_NOT_OK(stop.Check());
 
   TOPODB_ASSIGN_OR_RETURN(stored.canonical,

@@ -102,6 +102,8 @@ struct CatalogOptions {
   // Optional metrics sink (counters catalog.hits / catalog.misses /
   // catalog.ingests / catalog.skipped_corrupt, gauges catalog.entries /
   // catalog.mapped_bytes, histograms catalog.ingest_us / catalog.open_us).
+  // Each ingest's arrangement build also reports its arrangement.* and
+  // predicates.* series here.
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -164,6 +166,8 @@ class Catalog {
   void UpdateGaugesLocked();
 
   std::string directory_;
+  // Ingest builds the arrangement under this registry (may be null).
+  MetricsRegistry* metrics_ = nullptr;
 
   // Metric handles resolved once at Open (null-safe when no registry).
   Counter* hits_ = nullptr;

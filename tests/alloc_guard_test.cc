@@ -1,10 +1,11 @@
-// Proof that the small-integer predicate path never touches the heap
-// (ISSUE 7 acceptance criterion). Global operator new/delete are replaced
-// with counting versions; each measured region runs real predicate and
-// arithmetic workloads and asserts an allocation delta of exactly zero.
-// The guarantee rests on the inline LimbVec buffer (8 limbs), the 64/128-bit
-// BigInt fast paths, and the stack-only expansion stage — a regression in
-// any of them shows up here as a nonzero count.
+// Proof that the small-value predicate path never touches the heap. Global
+// operator new/delete are replaced with counting versions; each measured
+// region runs real predicate and arithmetic workloads and asserts an
+// allocation delta of exactly zero. The guarantee rests on the inline
+// LimbVec buffer (8 limbs) and the 64/128-bit BigInt fast paths, which
+// serve both predicate tiers: the semi-static double filter and the exact
+// rational evaluation behind it. A regression in either shows up here as a
+// nonzero count.
 //
 // Measured regions contain only the operations under test: no gtest
 // assertions, no ToString, no container growth. Every input is constructed
@@ -133,11 +134,11 @@ TEST(AllocGuardTest, SmallIntegerSegmentIntersectionIsAllocationFree) {
   EXPECT_EQ(n, 0u) << "small-integer segment intersection hit the allocator";
 }
 
-TEST(AllocGuardTest, ExpansionStagePredicatesAreAllocationFree) {
-  // Stretch-scaled near-collinear inputs: the static and interval stages
-  // both decline, the expansion stage decides. Its buffers are fixed-size
-  // stack arrays, and the 3-limb inputs stay inside the inline LimbVec
-  // buffer, so the whole resolution must be allocation-free too.
+TEST(AllocGuardTest, StretchScaledPredicatesAreAllocationFree) {
+  // Stretch-scaled near-collinear inputs: the double filter declines and
+  // the exact rational evaluation decides. Its 3-limb operands and the
+  // products and gcds it forms stay inside the inline LimbVec buffer, so
+  // the fallback must be allocation-free too.
   const Rational stretch(BigInt(1).ShiftLeft(64), BigInt(3));
   const Point a(Rational(3) * stretch, Rational(4) * stretch);
   const Point b(Rational(11) * stretch, Rational(7) * stretch);
@@ -151,8 +152,8 @@ TEST(AllocGuardTest, ExpansionStagePredicatesAreAllocationFree) {
     }
   });
   const PredicateFilterStats after = LocalPredicateFilterStats();
-  ASSERT_GT(after.expansion_hits, before.expansion_hits);  // Right stage.
-  EXPECT_EQ(n, 0u) << "expansion-stage predicate path hit the allocator";
+  ASSERT_GT(after.exact_fallbacks, before.exact_fallbacks);  // Right tier.
+  EXPECT_EQ(n, 0u) << "stretch-scaled predicate path hit the allocator";
 }
 
 TEST(AllocGuardTest, ExactModeSmallPredicatesAreAllocationFree) {

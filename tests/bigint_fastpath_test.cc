@@ -182,26 +182,6 @@ TEST(BigIntInPlaceTest, SelfAliasingCompoundAssignments) {
   }
 }
 
-TEST(BigIntFastPathTest, LimbAccessorsMatchCanonicalForm) {
-  // LimbCount/Limb (the expansion stage's view) must agree with the value:
-  // reassembling sum(Limb(i) * 2^(32 i)) reproduces the magnitude, and
-  // there is never a leading zero limb.
-  std::mt19937_64 rng(34);
-  for (int iter = 0; iter < 500; ++iter) {
-    const BigInt v = RandomValue(rng);
-    if (v.is_zero()) {
-      EXPECT_EQ(v.LimbCount(), 0u);
-      continue;
-    }
-    BigInt rebuilt(0);
-    for (size_t i = v.LimbCount(); i-- > 0;) {
-      rebuilt = rebuilt.ShiftLeft(32) + BigInt(static_cast<int64_t>(v.Limb(i)));
-    }
-    EXPECT_NE(v.Limb(v.LimbCount() - 1), 0u);
-    EXPECT_EQ(rebuilt.ToString(), v.Abs().ToString());
-  }
-}
-
 TEST(RationalInPlaceTest, CompoundAssignmentsMatchBinaryOperators) {
   std::mt19937_64 rng(35);
   const auto random_rational = [&rng]() {

@@ -334,41 +334,55 @@ TEST(CellComplexTest, RegionIndexLookup) {
   EXPECT_EQ(complex->region_index("Z"), -1);
 }
 
-TEST(CellComplexTest, ArenaBuildsAreBitIdentical) {
-  // The limb arena changes where temporary limb buffers live, never what
-  // any of them contain: builds with the arena on, off, and through the
-  // pure exact-predicate path must produce the same complex down to every
-  // rational coordinate (DebugString prints them exactly). The crossing
-  // diagonals make intersection points with non-trivial denominators — the
-  // values DetachComplex must copy out of the arena before it dies.
-  SpatialInstance instance;
-  ASSERT_TRUE(instance
-                  .AddRegion("A", *Region::MakeRect(Point(0, 0), Point(7, 5)))
-                  .ok());
-  ASSERT_TRUE(instance
-                  .AddRegion("B", *Region::MakePoly({Point(-2, -1), Point(9, 4),
-                                                     Point(3, 8)}))
-                  .ok());
-  ASSERT_TRUE(instance
-                  .AddRegion("C", *Region::MakePoly({Point(1, 6), Point(6, -2),
-                                                     Point(8, 7)}))
-                  .ok());
-  const auto build = [&](bool arena, bool exact) {
+TEST(CellComplexTest, FilteredAndExactBuildsAreBitIdentical) {
+  // The predicate filter changes how a sign is decided, never which sign:
+  // the filtered build and the pure exact-predicate build must produce the
+  // same complex down to every rational coordinate (DebugString prints them
+  // exactly). The crossing diagonals make intersection points with
+  // non-trivial denominators; the copy scaled by 2^64/3 pushes every
+  // coordinate past the filter's exact-integer range, so its collinear and
+  // touching configurations reach the exact tier.
+  const auto instance_at = [](const Rational& scale) {
+    const auto p = [&](int64_t x, int64_t y) {
+      return Point(Rational(x) * scale, Rational(y) * scale);
+    };
+    SpatialInstance instance;
+    EXPECT_TRUE(
+        instance.AddRegion("A", *Region::MakeRect(p(0, 0), p(7, 5))).ok());
+    EXPECT_TRUE(instance
+                    .AddRegion("B", *Region::MakePoly(
+                                        {p(-2, -1), p(9, 4), p(3, 8)}))
+                    .ok());
+    EXPECT_TRUE(instance
+                    .AddRegion("C", *Region::MakePoly(
+                                        {p(1, 6), p(6, -2), p(8, 7)}))
+                    .ok());
+    EXPECT_TRUE(instance
+                    .AddRegion("D", *Region::MakeRect(p(7, 0), p(9, 5)))
+                    .ok());
+    return instance;
+  };
+  const auto build = [](const SpatialInstance& instance, bool exact,
+                        MetricsRegistry* metrics) {
     ArrangementOptions options;
-    options.limb_arena = arena;
     options.exact_predicates = exact;
+    options.metrics = metrics;
     Result<CellComplex> complex = CellComplex::Build(instance, options);
     EXPECT_TRUE(complex.ok());
     return complex->DebugString();
   };
-  const std::string with_arena = build(true, false);
-  const std::string without_arena = build(false, false);
-  const std::string exact = build(false, true);
-  const std::string exact_arena_requested = build(true, true);  // Forced off.
-  EXPECT_EQ(with_arena, without_arena);
-  EXPECT_EQ(with_arena, exact);
-  EXPECT_EQ(with_arena, exact_arena_requested);
-  EXPECT_NE(with_arena.find("vertices"), std::string::npos);
+  for (const Rational& scale :
+       {Rational(1), Rational(BigInt(1).ShiftLeft(64), BigInt(3))}) {
+    const SpatialInstance instance = instance_at(scale);
+    MetricsRegistry metrics;
+    const std::string filtered = build(instance, false, &metrics);
+    EXPECT_EQ(filtered, build(instance, true, nullptr)) << scale.ToString();
+    EXPECT_NE(filtered.find("vertices"), std::string::npos);
+    EXPECT_GT(metrics.counter("predicates.static_hits")->value(), 0u);
+    if (!scale.is_integer()) {
+      EXPECT_GT(metrics.counter("predicates.exact_fallbacks")->value(), 0u);
+    }
+  }
 }
 
 }  // namespace

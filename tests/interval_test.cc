@@ -1,8 +1,9 @@
-// src/base/interval.h: the middle stage of the predicate filter. The
-// property under test everywhere is containment — an interval op must
-// return an interval enclosing the exact real result — plus the tightness
-// properties the filter's hit rate depends on (exact inputs stay points
-// through exact operations).
+// src/base/interval.h: the certified enclosures behind the arrangement
+// builder's cut-point sort keys and boundary-cycle area signs. The property
+// under test everywhere is containment — an interval op must return an
+// interval enclosing the exact real result — plus the tightness properties
+// that keep those signs off the exact rational path (exact inputs stay
+// points through exact operations).
 
 #include <cfloat>
 #include <cmath>

@@ -1,10 +1,11 @@
-// Differential fuzz for the four-stage predicate filter (DESIGN.md §5e-f):
+// Differential fuzz for the two-tier predicate filter (DESIGN.md §5e-f):
 // every filtered predicate must return bit-for-bit the decision of its
 // *Exact variant, on exactly the input families where a buggy filter would
 // diverge — collinear triples (the zero a static filter must never
 // mis-certify), one-ulp perturbations of collinear configurations (signs
-// far below double noise), and coordinates that overflow or underflow
-// double range entirely.
+// far below double noise), small-denominator rationals with wide
+// numerators, stretch-scaled coordinates past the filter's exact-integer
+// range, and coordinates that overflow or underflow double range entirely.
 
 #include <cstdint>
 #include <random>
@@ -110,8 +111,8 @@ TEST(PredicateFilterDifferentialTest, OneUlpPerturbations) {
 
 TEST(PredicateFilterDifferentialTest, OverflowAndUnderflowCoordinates) {
   // Coordinates far outside double range: 10^400 overflows to inf, 10^-400
-  // underflows to 0. The static stage must decline (bit-length caps), the
-  // interval stage saturates, and decisions still match the exact path.
+  // underflows to 0. The static stage must decline (bit-length caps), and
+  // decisions still match the exact path.
   Rational huge(1);
   const Rational ten(10);
   for (int i = 0; i < 400; ++i) huge = huge * ten;
@@ -131,7 +132,7 @@ TEST(PredicateFilterDifferentialTest, OverflowAndUnderflowCoordinates) {
       const Point d(coord(), coord());
       ExpectAllPredicatesAgree(a, b, c, d);
       // Mixed magnitudes: one tiny point among huge ones (and vice versa)
-      // stresses the interval stage's saturation arithmetic.
+      // mixes declined and certifiable coordinates in one predicate.
       const Point m(coord() * tiny, coord());
       ExpectAllPredicatesAgree(a, b, m, d);
     }
@@ -162,6 +163,84 @@ TEST(PredicateFilterDifferentialTest, OverflowAndUnderflowCoordinates) {
   ExpectAllPredicatesAgree(p, q, r, p);
   EXPECT_TRUE(OnSegment(q, p, r));
   EXPECT_TRUE(StrictlyInsideSegment(q, p, r));
+}
+
+TEST(PredicateFilterDifferentialTest, SmallDenominatorRationals) {
+  // Numerators up to 2^61 over a fixed set of small denominators: too wide
+  // for the filter's exact-integer shortcut, so every sign either clears a
+  // certified error bound or goes to the exact tier. Midpoints of the
+  // same base points add exact collinear triples, and a shared endpoint
+  // makes points compare with themselves, which must come out equal, not
+  // merely close.
+  std::mt19937_64 rng(21);
+  const auto coord = [&rng]() {
+    static const int64_t dens[] = {1, 2, 3, 4, 5, 6, 7, 15, 16, 255};
+    const int64_t num =
+        static_cast<int64_t>(rng() % (uint64_t{1} << 62)) - (int64_t{1} << 61);
+    return Rational(num, dens[rng() % (sizeof(dens) / sizeof(dens[0]))]);
+  };
+  for (int iter = 0; iter < 500; ++iter) {
+    const Point a(coord(), coord());
+    const Point b(coord(), coord());
+    const Point c(coord(), coord());
+    const Point d(coord(), coord());
+    ExpectAllPredicatesAgree(a, b, c, d);
+    const Point mid = a + (b - a) * Rational(1, 2);
+    EXPECT_EQ(Orientation(a, b, mid), 0);
+    ExpectAllPredicatesAgree(a, b, mid, c);
+    ExpectAllPredicatesAgree(a, b, a, c);
+    EXPECT_EQ(CompareAlongDirection(a, a, b - a), 0);
+  }
+}
+
+TEST(PredicateFilterDifferentialTest, TinyPerturbationsOfWideTriples) {
+  // Collinear triples spanning up to 10^6 pushed off the line by ±1/2^k,
+  // k up to 50: invisible to a plain double evaluation from k ≈ 30 on, so
+  // the filter must decline and leave the sign to the exact tier.
+  std::mt19937_64 rng(22);
+  for (int iter = 0; iter < 500; ++iter) {
+    const int64_t x0 = static_cast<int64_t>(rng() % 2001) - 1000;
+    const int64_t y0 = static_cast<int64_t>(rng() % 2001) - 1000;
+    const int64_t dx = 1 + static_cast<int64_t>(rng() % 1000000);
+    const int64_t dy = static_cast<int64_t>(rng() % 2000001) - 1000000;
+    const Point a(x0, y0);
+    const Point b(x0 + dx, y0 + dy);
+    const Point mid = a + (b - a) * Rational(1, 2);
+    const int k = 1 + static_cast<int>(rng() % 50);
+    const int eps_sign = (rng() & 1) ? 1 : -1;
+    const Rational eps(BigInt(eps_sign), BigInt(1).ShiftLeft(k));
+    const Point off(mid.x, mid.y + eps);
+    // dx > 0, so the orientation sign equals the perturbation sign.
+    EXPECT_EQ(Orientation(a, b, off), eps_sign) << "k=" << k;
+    ExpectAllPredicatesAgree(a, b, off, mid);
+    ExpectAllPredicatesAgree(off, mid, a, b);
+  }
+}
+
+TEST(PredicateFilterDifferentialTest, StretchScaledNearCollinearTriples) {
+  // Integer points scaled by 2^64/3, the coordinate family of the
+  // stretch-* bench rows: numerators past 53 bits with a non-unit
+  // denominator, and exact collinear midpoints, so the filter cannot
+  // certify the zeros and the exact tier decides them.
+  const Rational stretch(BigInt(1).ShiftLeft(64), BigInt(3));
+  std::mt19937_64 rng(24);
+  for (int iter = 0; iter < 50; ++iter) {
+    const int64_t x0 = static_cast<int64_t>(rng() % 201) - 100;
+    const int64_t dx = 1 + static_cast<int64_t>(rng() % 9);
+    const int64_t dy = static_cast<int64_t>(rng() % 9) - 4;
+    const Point a(Rational(x0) * stretch, Rational(x0 + 1) * stretch);
+    const Point b(Rational(x0 + dx) * stretch,
+                  Rational(x0 + 1 + dy) * stretch);
+    const Point mid = a + (b - a) * Rational(1, 2);
+    EXPECT_EQ(Orientation(a, b, mid), 0);
+    ExpectAllPredicatesAgree(a, b, mid, a);
+    ExpectAllPredicatesAgree(a, mid, b, Point(mid.x, mid.y + stretch));
+  }
+  const Point a(Rational(3) * stretch, Rational(4) * stretch);
+  const Point b(Rational(11) * stretch, Rational(7) * stretch);
+  const Point mid = a + (b - a) * Rational(1, 2);
+  EXPECT_EQ(Orientation(a, b, mid), 0);
+  ExpectAllPredicatesAgree(a, b, mid, b);
 }
 
 TEST(PredicateFilterDifferentialTest, RandomSegmentPairsAndDegeneracies) {
@@ -196,16 +275,45 @@ TEST(PredicateFilterStatsTest, StagesActuallyResolveWork) {
   EXPECT_EQ(after_easy.static_hits, before.static_hits + 1);
   EXPECT_EQ(after_easy.exact_fallbacks, before.exact_fallbacks);
 
-  // A perturbation that survives the interval stage needs cancellation:
-  // det = 10 * (1/2 + eps) - 1 * 5 = 10 * eps, but the interval for
-  // 1/2 + eps is one ulp wide, so after scaling and subtracting, the
-  // enclosure of the determinant straddles zero and only the rational
-  // stage can decide the sign.
+  // det = 10 * (1/2 + eps) - 1 * 5 = 10 * eps with eps = 2^-200: far below
+  // the static stage's certified error bound, so only the exact stage can
+  // decide the sign.
   const Rational eps(BigInt(1), BigInt(1).ShiftLeft(200));
   const Point off(Rational(5), Rational(1, 2) + eps);
   EXPECT_EQ(Orientation(Point(0, 0), Point(10, 1), off), 1);
   const PredicateFilterStats after_hard = LocalPredicateFilterStats();
+  EXPECT_EQ(after_hard.static_hits, after_easy.static_hits);
   EXPECT_EQ(after_hard.exact_fallbacks, after_easy.exact_fallbacks + 1);
+
+  // Every filtered sign is settled by exactly one of the two stages: no
+  // sign goes uncounted and none is counted twice.
+  const Rational stretch(BigInt(1).ShiftLeft(64), BigInt(3));
+  const Point sa(Rational(3) * stretch, Rational(4) * stretch);
+  const Point sb(Rational(11) * stretch, Rational(7) * stretch);
+  const Point smid = sa + (sb - sa) * Rational(1, 2);
+  const auto settled = [] {
+    const PredicateFilterStats& now = LocalPredicateFilterStats();
+    return now.static_hits + now.exact_fallbacks;
+  };
+  const auto expect_one_sign = [&](const char* what, const auto& predicate) {
+    const uint64_t start = settled();
+    predicate();
+    EXPECT_EQ(settled(), start + 1) << what;
+  };
+  for (const Point& c : {Point(5, 3), off, smid}) {
+    expect_one_sign("Orientation", [&] { Orientation(sa, sb, c); });
+    expect_one_sign("Orientation",
+                    [&] { Orientation(Point(0, 0), Point(10, 1), c); });
+    expect_one_sign("CompareAlongDirection",
+                    [&] { CompareAlongDirection(c, sa, sb - sa); });
+    // Both directions point into the upper half-plane, so the order needs
+    // the cross-product sign rather than the half-plane rank alone.
+    expect_one_sign("CcwDirectionLess", [&] {
+      CcwDirectionLess(Point(1, 1), Point(c.x + 1, Rational(1) + c.y.Abs()));
+    });
+  }
+  EXPECT_GT(LocalPredicateFilterStats().exact_fallbacks,
+            after_hard.exact_fallbacks);
 }
 
 TEST(PredicateFilterModeTest, ExactModeBypassesFilters) {
@@ -217,7 +325,6 @@ TEST(PredicateFilterModeTest, ExactModeBypassesFilters) {
   const PredicateFilterStats after = LocalPredicateFilterStats();
   // Exact mode runs pure rational arithmetic without touching the stats.
   EXPECT_EQ(after.static_hits, before.static_hits);
-  EXPECT_EQ(after.interval_hits, before.interval_hits);
   EXPECT_EQ(after.exact_fallbacks, before.exact_fallbacks);
 }
 

@@ -352,6 +352,24 @@ TEST(CatalogTest, IngestFindListDescribeLifecycle) {
   EXPECT_GT(listing[0].file_bytes, 0u);
 }
 
+TEST(CatalogTest, IngestCountsItsArrangementBuildInTheRegistry) {
+  // LOAD's arrangement build is real request work, so it reports to the
+  // catalog's registry like any other build: one arrangement.builds per
+  // ingest, and the predicate signs it settled.
+  const std::string dir = TempCatalogDir();
+  MetricsRegistry metrics;
+  CatalogOptions options;
+  options.directory = dir;
+  options.metrics = &metrics;
+  auto catalog = Catalog::Open(options);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  ASSERT_TRUE((*catalog)->Ingest("alpha", kText).ok());
+  EXPECT_EQ(metrics.counter("arrangement.builds")->value(), 1u);
+  EXPECT_GT(metrics.counter("predicates.static_hits")->value(), 0u);
+  ASSERT_TRUE((*catalog)->Ingest("beta", "T: (0 0, 4 0, 2 3)\n").ok());
+  EXPECT_EQ(metrics.counter("arrangement.builds")->value(), 2u);
+}
+
 TEST(CatalogTest, IngestIsDeterministicAndReplaceable) {
   const std::string dir = TempCatalogDir();
   CatalogOptions options;

@@ -383,6 +383,30 @@ TEST(WireMalformedTest, TruncatedResponsePayloadIsCleanError) {
   }
 }
 
+TEST(WireMalformedTest, PingBodyIsExactlyNineBytes) {
+  // Server and router always answer PING with state u8 + queue depth u32 +
+  // queue bound u32. Any other length, an empty body included, is a
+  // malformed reply, which the health prober reads as an unhealthy shard.
+  PingBody sent;
+  sent.state = kPingStateDraining;
+  sent.queue_depth = 3;
+  sent.queue_bound = 64;
+  std::string body;
+  AppendPingBody(&body, sent);
+  ASSERT_EQ(body.size(), 9u);
+  const Result<PingBody> decoded = DecodePingBody(body);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->state, sent.state);
+  EXPECT_EQ(decoded->queue_depth, sent.queue_depth);
+  EXPECT_EQ(decoded->queue_bound, sent.queue_bound);
+  for (const std::string& bad :
+       {std::string(), body.substr(0, 8), body + std::string(1, '\0')}) {
+    const Result<PingBody> rejected = DecodePingBody(bad);
+    ASSERT_FALSE(rejected.ok()) << "accepted " << bad.size() << " bytes";
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(WireOpcodeTest, KnownOpcodesAndNames) {
   for (Opcode op : {Opcode::kPing, Opcode::kComputeInvariant,
                     Opcode::kBatchInvariants, Opcode::kEvalQuery,
