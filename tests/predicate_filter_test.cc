@@ -57,6 +57,16 @@ void ExpectAllPredicatesAgree(const Point& a, const Point& b, const Point& c,
   }
 }
 
+// Numerator up to 2^61 over a fixed set of small denominators: too wide
+// for the filter's exact-integer shortcut, so every sign either clears a
+// certified error bound or goes to the exact tier.
+Rational SmallDenominatorCoord(std::mt19937_64& rng) {
+  static const int64_t dens[] = {1, 2, 3, 4, 5, 6, 7, 15, 16, 255};
+  const int64_t num =
+      static_cast<int64_t>(rng() % (uint64_t{1} << 62)) - (int64_t{1} << 61);
+  return Rational(num, dens[rng() % (sizeof(dens) / sizeof(dens[0]))]);
+}
+
 TEST(PredicateFilterDifferentialTest, CollinearTriples) {
   // Exact collinearity is the adversarial case for the static stage: the
   // determinant is exactly zero, and any filter that certifies a nonzero
@@ -166,19 +176,11 @@ TEST(PredicateFilterDifferentialTest, OverflowAndUnderflowCoordinates) {
 }
 
 TEST(PredicateFilterDifferentialTest, SmallDenominatorRationals) {
-  // Numerators up to 2^61 over a fixed set of small denominators: too wide
-  // for the filter's exact-integer shortcut, so every sign either clears a
-  // certified error bound or goes to the exact tier. Midpoints of the
-  // same base points add exact collinear triples, and a shared endpoint
-  // makes points compare with themselves, which must come out equal, not
-  // merely close.
+  // Random small-denominator points. Midpoints of the same base points add
+  // exact collinear triples, and a shared endpoint makes points compare
+  // with themselves, which must come out equal, not merely close.
   std::mt19937_64 rng(21);
-  const auto coord = [&rng]() {
-    static const int64_t dens[] = {1, 2, 3, 4, 5, 6, 7, 15, 16, 255};
-    const int64_t num =
-        static_cast<int64_t>(rng() % (uint64_t{1} << 62)) - (int64_t{1} << 61);
-    return Rational(num, dens[rng() % (sizeof(dens) / sizeof(dens[0]))]);
-  };
+  const auto coord = [&rng]() { return SmallDenominatorCoord(rng); };
   for (int iter = 0; iter < 500; ++iter) {
     const Point a(coord(), coord());
     const Point b(coord(), coord());
@@ -190,6 +192,38 @@ TEST(PredicateFilterDifferentialTest, SmallDenominatorRationals) {
     ExpectAllPredicatesAgree(a, b, mid, c);
     ExpectAllPredicatesAgree(a, b, a, c);
     EXPECT_EQ(CompareAlongDirection(a, a, b - a), 0);
+  }
+}
+
+TEST(PredicateFilterDifferentialTest, SmallDenominatorCrossDotAlongCompare) {
+  // The direction and coordinate predicates on small-denominator inputs,
+  // each checked against the rational formula whose sign it decides:
+  // cross (CcwDirectionLess), cross and dot (SameDirection), along
+  // (CompareAlongDirection) and compare (Rational::Compare). Exact
+  // multiples of u make the cross zero, so the dot sign alone decides.
+  std::mt19937_64 rng(23);
+  const auto coord = [&rng]() { return SmallDenominatorCoord(rng); };
+  for (int iter = 0; iter < 500; ++iter) {
+    const Point u(coord(), coord());
+    const Point v(coord(), coord());
+    const Point p(coord(), coord());
+    const Rational cross = u.x * v.y - u.y * v.x;
+    const Rational dot = u.x * v.x + u.y * v.y;
+    EXPECT_EQ(CcwDirectionLess(u, v), CcwDirectionLessExact(u, v));
+    EXPECT_EQ(SameDirection(u, v), cross.is_zero() && dot.sign() > 0);
+    EXPECT_EQ(CompareAlongDirection(p, u, v),
+              ((p.x - u.x) * v.x + (p.y - u.y) * v.y).sign());
+    EXPECT_EQ(p.x.Compare(u.x), (p.x - u.x).sign());
+    // Equal values must compare zero, not merely small.
+    EXPECT_EQ(p.x.Compare(p.x), 0);
+    EXPECT_EQ(CompareAlongDirection(p, p, v), 0);
+    const Rational k(1 + static_cast<int64_t>(rng() % 255),
+                     1 + static_cast<int64_t>(rng() % 255));
+    EXPECT_TRUE(SameDirection(u, u * k));
+    EXPECT_FALSE(SameDirection(u, u * -k));
+    EXPECT_FALSE(CcwDirectionLess(u, u * k));
+    // As points: u - 0 and v - p are the two directions compared above.
+    ExpectAllPredicatesAgree(Point(0, 0), u, p, p + v);
   }
 }
 
