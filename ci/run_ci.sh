@@ -199,7 +199,7 @@ client="./build-ci/src/client/topodb_client --port $catalog_port"
 $client load fig1d fig1d
 $client list | grep -q "4 instance(s)" \
   || { echo "catalog list should show 4 instances"; exit 1; }
-$client describe fig1a | grep -q "s-invariant" \
+$client describe fig1a | grep -q "s-invariant yes" \
   || { echo "describe fig1a failed"; exit 1; }
 # Byte-identity proxy: the catalog-served instance must be isomorphic to
 # the same fixture sent inline as text.

@@ -43,7 +43,9 @@ struct CatalogEntryInfo {
 };
 
 // The DESCRIBE body: everything the server knows about a catalog entry
-// without decoding its invariant sections.
+// from its store file's stats and canonical sections, without parsing
+// the instance. has_s_invariant is the stats flag "every region is
+// rectilinear".
 struct InstanceDescription {
   std::string name;
   uint64_t entry_id = 0;

@@ -14,8 +14,8 @@
 #include "src/arrangement/cell_complex.h"
 #include "src/invariant/canonical.h"
 #include "src/invariant/data.h"
-#include "src/invariant/s_invariant.h"
 #include "src/region/io.h"
+#include "src/region/region.h"
 
 namespace topodb {
 namespace {
@@ -224,49 +224,82 @@ Result<std::unique_ptr<Catalog>> Catalog::Open(const CatalogOptions& options,
   }
   std::sort(paths.begin(), paths.end());
 
+  auto skip = [&](const std::string& path, const Status& status) {
+    ++scan->skipped_corrupt;
+    scan->skipped.push_back(path + ": " + status.message());
+    CounterAdd(catalog->skipped_corrupt_);
+    std::fprintf(stderr, "topodb catalog: skipping %s (%s)\n", path.c_str(),
+                 status.ToString().c_str());
+  };
+  std::vector<std::string> unsupported;
   for (const std::string& path : paths) {
     Result<std::shared_ptr<const CatalogEntry>> entry =
         LoadFile(path, /*expect_name=*/nullptr);
     if (!entry.ok()) {
-      ++scan->skipped_corrupt;
-      scan->skipped.push_back(path + ": " + entry.status().message());
-      CounterAdd(catalog->skipped_corrupt_);
-      std::fprintf(stderr, "topodb catalog: skipping %s (%s)\n", path.c_str(),
-                   entry.status().ToString().c_str());
+      if (entry.status().code() == StatusCode::kUnsupported) {
+        unsupported.push_back(path);
+      } else {
+        skip(path, entry.status());
+      }
       continue;
     }
     const std::string name = (*entry)->name();
     if (!ValidateCatalogName(name).ok() ||
         catalog->entries_.count(name) > 0) {
-      ++scan->skipped_corrupt;
-      scan->skipped.push_back(path + ": bad or duplicate embedded name '" +
-                              name + "'");
-      CounterAdd(catalog->skipped_corrupt_);
+      skip(path, Status::DataLoss("bad or duplicate embedded name '" + name +
+                                  "'"));
       continue;
     }
     catalog->entries_.emplace(name, std::move(entry).value());
+    ++scan->loaded;
+  }
+  // Files of an older format version are re-ingested only now, once every
+  // current file has claimed its name, so an older copy never displaces a
+  // current entry. A newer version stays Unsupported and is skipped.
+  for (const std::string& path : unsupported) {
+    const Status status = catalog->Reingest(path);
+    if (!status.ok()) {
+      skip(path, status);
+      continue;
+    }
+    std::fprintf(stderr, "topodb catalog: re-ingested %s from an older "
+                 "store format\n", path.c_str());
     ++scan->loaded;
   }
   catalog->UpdateGaugesLocked();  // Single-threaded here; no lock needed.
   return catalog;
 }
 
+Status Catalog::Reingest(const std::string& path) {
+  OlderStoreFile older;
+  {
+    TOPODB_ASSIGN_OR_RETURN(MappedFile mapped, MappedFile::Open(path));
+    TOPODB_ASSIGN_OR_RETURN(older, ReadOlderStoreFile(mapped.bytes()));
+  }
+  if (entries_.count(older.name) > 0) {
+    return Status::DataLoss("duplicate embedded name '" + older.name + "'");
+  }
+  // Written in place: the new file replaces the old one by rename, and no
+  // other file, such as an older file not yet re-ingested, is touched.
+  return IngestInto(path, older.name, older.instance_text, StopSignal())
+      .status();
+}
+
 std::string Catalog::PathForNameLocked(const std::string& name) const {
+  // Reuse the path already serving this name, whatever its file name, so a
+  // re-ingest replaces the file in place; otherwise probe for a path no
+  // other entry owns (two names can share an FNV hash).
+  const auto serving = entries_.find(name);
+  if (serving != entries_.end()) return serving->second->path();
   const std::string stem = directory_ + "/inst-" + HexU64(Fnv1a64(name));
-  // Reuse the path already serving this name so a re-ingest replaces the
-  // file in place; otherwise probe for a path no other entry owns (two
-  // names can share an FNV hash).
   for (int probe = 0;; ++probe) {
     const std::string candidate =
         probe == 0 ? stem + ".tpds"
                    : stem + "-" + std::to_string(probe) + ".tpds";
-    bool taken = false;
-    for (const auto& [entry_name, entry] : entries_) {
-      if (entry->path() == candidate) {
-        taken = entry_name != name;
-        break;
-      }
-    }
+    const bool taken =
+        std::any_of(entries_.begin(), entries_.end(), [&](const auto& e) {
+          return e.second->path() == candidate;
+        });
     if (!taken) return candidate;
   }
 }
@@ -274,6 +307,12 @@ std::string Catalog::PathForNameLocked(const std::string& name) const {
 Result<std::shared_ptr<const CatalogEntry>> Catalog::Ingest(
     const std::string& name, const std::string& instance_text,
     const StopSignal& stop) {
+  return IngestInto(/*path=*/"", name, instance_text, stop);
+}
+
+Result<std::shared_ptr<const CatalogEntry>> Catalog::IngestInto(
+    const std::string& path, const std::string& name,
+    const std::string& instance_text, const StopSignal& stop) {
   ScopedTimer timer(ingest_us_);
   TOPODB_RETURN_NOT_OK(ValidateCatalogName(name));
   TOPODB_RETURN_NOT_OK(stop.Check());
@@ -293,30 +332,31 @@ Result<std::shared_ptr<const CatalogEntry>> Catalog::Ingest(
   arrangement.metrics = metrics_;
   TOPODB_ASSIGN_OR_RETURN(CellComplex complex,
                           CellComplex::Build(instance, arrangement));
-  stored.invariant = InvariantData::FromComplex(complex);
+  const InvariantData invariant = InvariantData::FromComplex(complex);
   TOPODB_RETURN_NOT_OK(stop.Check());
 
   TOPODB_ASSIGN_OR_RETURN(stored.canonical,
-                          CanonicalInvariantString(stored.invariant));
+                          CanonicalInvariantString(invariant));
   TOPODB_RETURN_NOT_OK(stop.Check());
 
-  Result<SInvariant> s_invariant = SInvariant::Compute(instance);
-  if (s_invariant.ok()) {
-    stored.has_s_invariant = true;
-    stored.s_invariant = s_invariant->canonical();
-  }
-  stored.thematic = ToThematic(stored.invariant);
-  TOPODB_RETURN_NOT_OK(stop.Check());
-
+  stored.stats.num_regions = invariant.region_names.size();
+  stored.stats.num_vertices = invariant.vertices.size();
+  stored.stats.num_edges = invariant.edges.size();
+  stored.stats.num_faces = invariant.faces.size();
+  stored.stats.all_rectilinear = std::all_of(
+      instance.regions().begin(), instance.regions().end(),
+      [](const auto& named) {
+        return Region::IsRectilinear(named.second.boundary());
+      });
   const std::string bytes = EncodeStoreFile(stored);
 
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string path = PathForNameLocked(name);
-  const std::string tmp_path = path + ".tmp";
+  const std::string target = path.empty() ? PathForNameLocked(name) : path;
+  const std::string tmp_path = target + ".tmp";
   TOPODB_RETURN_NOT_OK(WriteFileDurably(tmp_path, bytes));
-  if (::rename(tmp_path.c_str(), path.c_str()) != 0) {
+  if (::rename(tmp_path.c_str(), target.c_str()) != 0) {
     const Status status =
-        Status::Internal(ErrnoMessage("cannot rename into", path));
+        Status::Internal(ErrnoMessage("cannot rename into", target));
     ::unlink(tmp_path.c_str());
     return status;
   }
@@ -326,7 +366,7 @@ Result<std::shared_ptr<const CatalogEntry>> Catalog::Ingest(
   // the entry then proves the durable bytes round-trip, and the serving
   // path is identical to a restart's.
   TOPODB_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogEntry> entry,
-                          LoadFile(path, &name));
+                          LoadFile(target, &name));
   entries_[name] = entry;
   CounterAdd(ingests_);
   UpdateGaugesLocked();

@@ -18,7 +18,8 @@
 // file, or a stray `.tmp`. Open() deletes `.tmp` strays, skips files that
 // fail validation (counting them and reporting each in the scan report),
 // and loads the rest; a partially written ingest is therefore detected
-// and skipped at startup, never served.
+// and skipped at startup, never served. A file of an older format version
+// is re-ingested from its own name and text, the same way.
 
 #include <cstdint>
 #include <map>
@@ -128,17 +129,19 @@ class Catalog {
   // Scans options.directory, removing `.tmp` strays and skipping corrupt
   // files (each skip is reported, counted, and logged to stderr — a
   // corrupt file is an operational event, not a reason to refuse every
-  // healthy entry). Fails only when the directory cannot be created or
-  // read.
+  // healthy entry). A file of an older format version is re-ingested from
+  // its name and text sections, the new file replacing it under the same
+  // path, and counts as loaded; a newer version is skipped. Fails only
+  // when the directory cannot be created or read.
   static Result<std::unique_ptr<Catalog>> Open(
       const CatalogOptions& options, CatalogScanReport* report = nullptr);
 
   // Full ingest pipeline: validate name, parse text, build the
-  // arrangement, canonicalize, compute the S-invariant when rectilinear,
-  // derive thematic relations, then atomically persist and map the store
-  // file. `stop` is polled between stages, so a deadlined LOAD fails with
+  // arrangement, canonicalize, count cells and check that every region is
+  // rectilinear, then atomically persist and map the store file. `stop` is
+  // polled between stages, so a deadlined LOAD fails with
   // DeadlineExceeded instead of burning a worker. Re-ingesting an
-  // existing name atomically replaces it.
+  // existing name atomically replaces its file.
   Result<std::shared_ptr<const CatalogEntry>> Ingest(
       const std::string& name, const std::string& instance_text,
       const StopSignal& stop = StopSignal());
@@ -161,7 +164,16 @@ class Catalog {
   static Result<std::shared_ptr<const CatalogEntry>> LoadFile(
       const std::string& path, const std::string* expect_name);
 
-  // Picks a free path for `name`, probing hash-suffix collisions.
+  // Ingest into `path`, or when it is empty, PathForNameLocked(name).
+  Result<std::shared_ptr<const CatalogEntry>> IngestInto(
+      const std::string& path, const std::string& name,
+      const std::string& instance_text, const StopSignal& stop);
+
+  // Re-ingests the older-format file at `path` in place (Open only).
+  Status Reingest(const std::string& path);
+
+  // The path serving `name`, else a free one, probing hash-suffix
+  // collisions.
   std::string PathForNameLocked(const std::string& name) const;
   void UpdateGaugesLocked();
 

@@ -1,7 +1,5 @@
 #include "src/store/format.h"
 
-#include <cstring>
-
 namespace topodb {
 namespace {
 
@@ -19,15 +17,6 @@ void AppendU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
-void AppendI32(std::string* out, int32_t v) {
-  AppendU32(out, static_cast<uint32_t>(v));
-}
-
-void AppendLenPrefixed(std::string* out, std::string_view s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
 uint64_t ReadLE(std::string_view data, size_t pos, size_t n) {
   uint64_t v = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -37,171 +26,8 @@ uint64_t ReadLE(std::string_view data, size_t pos, size_t n) {
   return v;
 }
 
-// Cursor over persisted bytes. Every accessor fails with DataLoss on
-// truncation — by the time a cursor runs, the checksum already matched,
-// so an out-of-bounds read means the encoder and decoder disagree about
-// the layout (or the file was written by a corrupted process), which is
-// exactly what DataLoss names.
-class StoreCursor {
- public:
-  explicit StoreCursor(std::string_view data) : data_(data) {}
-
-  size_t remaining() const { return data_.size() - pos_; }
-
-  Result<uint8_t> ReadU8() {
-    TOPODB_RETURN_NOT_OK(Need(1, "u8"));
-    return static_cast<uint8_t>(ReadLE(data_, pos_++, 1));
-  }
-  Result<uint32_t> ReadU32() {
-    TOPODB_RETURN_NOT_OK(Need(4, "u32"));
-    const uint32_t v = static_cast<uint32_t>(ReadLE(data_, pos_, 4));
-    pos_ += 4;
-    return v;
-  }
-  Result<int32_t> ReadI32() {
-    TOPODB_ASSIGN_OR_RETURN(uint32_t v, ReadU32());
-    return static_cast<int32_t>(v);
-  }
-  Result<uint64_t> ReadU64() {
-    TOPODB_RETURN_NOT_OK(Need(8, "u64"));
-    const uint64_t v = ReadLE(data_, pos_, 8);
-    pos_ += 8;
-    return v;
-  }
-  Result<std::string> ReadLenPrefixed() {
-    TOPODB_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
-    TOPODB_RETURN_NOT_OK(Need(len, "string body"));
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-  Status ExpectEnd() const {
-    if (pos_ != data_.size()) {
-      return Status::DataLoss(std::to_string(data_.size() - pos_) +
-                              " trailing bytes after store section");
-    }
-    return Status::OK();
-  }
-
- private:
-  Status Need(size_t n, const char* what) const {
-    if (remaining() < n) {
-      return Status::DataLoss(std::string("store section truncated reading ") +
-                              what);
-    }
-    return Status::OK();
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-Result<Sign> SignFromByte(uint8_t b) {
-  if (b > static_cast<uint8_t>(Sign::kExterior)) {
-    return Status::DataLoss("invalid cell-label sign byte " +
-                            std::to_string(b));
-  }
-  return static_cast<Sign>(b);
-}
-
-void AppendLabel(std::string* out, const CellLabel& label) {
-  for (Sign s : label) out->push_back(static_cast<char>(s));
-}
-
-Result<CellLabel> ReadLabel(StoreCursor* cursor, size_t num_regions) {
-  CellLabel label;
-  label.reserve(num_regions);
-  for (size_t r = 0; r < num_regions; ++r) {
-    TOPODB_ASSIGN_OR_RETURN(uint8_t b, cursor->ReadU8());
-    TOPODB_ASSIGN_OR_RETURN(Sign s, SignFromByte(b));
-    label.push_back(s);
-  }
-  return label;
-}
-
-// --- Section encoders -----------------------------------------------------
-
-std::string EncodeInvariantSection(const InvariantData& data) {
-  std::string out;
-  const uint32_t num_regions =
-      static_cast<uint32_t>(data.region_names.size());
-  AppendU32(&out, num_regions);
-  AppendU32(&out, static_cast<uint32_t>(data.vertices.size()));
-  AppendU32(&out, static_cast<uint32_t>(data.edges.size()));
-  AppendU32(&out, static_cast<uint32_t>(data.faces.size()));
-  AppendI32(&out, data.exterior_face);
-  for (const std::string& name : data.region_names) {
-    AppendLenPrefixed(&out, name);
-  }
-  for (const auto& v : data.vertices) AppendLabel(&out, v.label);
-  for (const auto& e : data.edges) {
-    AppendU32(&out, static_cast<uint32_t>(e.v1));
-    AppendU32(&out, static_cast<uint32_t>(e.v2));
-  }
-  for (const auto& e : data.edges) AppendLabel(&out, e.label);
-  for (const auto& f : data.faces) {
-    out.push_back(f.unbounded ? 1 : 0);
-  }
-  for (const auto& f : data.faces) AppendI32(&out, f.outer_cycle_dart);
-  for (const auto& f : data.faces) AppendLabel(&out, f.label);
-  for (int d : data.next_ccw) AppendI32(&out, d);
-  for (int f : data.face_of_dart) AppendI32(&out, f);
-  return out;
-}
-
-void EncodeTable(std::string* out, const Table& table) {
-  AppendU32(out, static_cast<uint32_t>(table.arity()));
-  for (const std::string& attr : table.attributes()) {
-    AppendLenPrefixed(out, attr);
-  }
-  AppendU32(out, static_cast<uint32_t>(table.size()));
-  for (const auto& row : table.rows()) {
-    for (const std::string& value : row) AppendLenPrefixed(out, value);
-  }
-}
-
-Result<Table> DecodeTable(StoreCursor* cursor) {
-  TOPODB_ASSIGN_OR_RETURN(uint32_t arity, cursor->ReadU32());
-  std::vector<std::string> attributes;
-  attributes.reserve(arity);
-  for (uint32_t i = 0; i < arity; ++i) {
-    TOPODB_ASSIGN_OR_RETURN(std::string attr, cursor->ReadLenPrefixed());
-    attributes.push_back(std::move(attr));
-  }
-  Result<Table> table = Table::Make(std::move(attributes));
-  if (!table.ok()) {
-    return Status::DataLoss("thematic section holds an invalid schema: " +
-                            table.status().message());
-  }
-  TOPODB_ASSIGN_OR_RETURN(uint32_t rows, cursor->ReadU32());
-  for (uint32_t i = 0; i < rows; ++i) {
-    std::vector<std::string> row;
-    row.reserve(arity);
-    for (uint32_t j = 0; j < arity; ++j) {
-      TOPODB_ASSIGN_OR_RETURN(std::string value, cursor->ReadLenPrefixed());
-      row.push_back(std::move(value));
-    }
-    TOPODB_RETURN_NOT_OK(table->Insert(std::move(row)));
-  }
-  return table;
-}
-
-// The 11 tables of a ThematicInstance in declared order; keeping the list
-// in one place pins the section layout for encode and decode alike.
-template <typename T, typename F>
-void ForEachThematicTable(T& theme, F&& f) {
-  f(theme.regions);
-  f(theme.vertices);
-  f(theme.edges);
-  f(theme.faces);
-  f(theme.exterior_face);
-  f(theme.endpoints);
-  f(theme.face_edges);
-  f(theme.region_faces);
-  f(theme.orientation);
-  f(theme.face_ends);
-  f(theme.outer_cycle);
-}
+// Four u64 counts and the u8 rectilinear flag.
+constexpr size_t kStatsBytes = 4 * 8 + 1;
 
 }  // namespace
 
@@ -215,43 +41,32 @@ uint64_t Fnv1a64(std::string_view bytes) {
 }
 
 std::string EncodeStoreFile(const StoredInstance& in) {
-  struct PendingSection {
-    StoreSection kind;
-    std::string bytes;
-  };
-  std::vector<PendingSection> sections;
-  sections.push_back({StoreSection::kName, in.name});
-  sections.push_back({StoreSection::kInstanceText, in.instance_text});
-  sections.push_back({StoreSection::kCanonical, in.canonical});
-  if (in.has_s_invariant) {
-    sections.push_back({StoreSection::kSInvariant, in.s_invariant});
-  }
-  sections.push_back(
-      {StoreSection::kInvariantData, EncodeInvariantSection(in.invariant)});
-  std::string thematic;
-  ForEachThematicTable(in.thematic, [&thematic](const Table& table) {
-    EncodeTable(&thematic, table);
-  });
-  sections.push_back({StoreSection::kThematic, std::move(thematic)});
   std::string stats;
-  AppendU64(&stats, in.invariant.region_names.size());
-  AppendU64(&stats, in.invariant.vertices.size());
-  AppendU64(&stats, in.invariant.edges.size());
-  AppendU64(&stats, in.invariant.faces.size());
-  sections.push_back({StoreSection::kStats, std::move(stats)});
+  AppendU64(&stats, in.stats.num_regions);
+  AppendU64(&stats, in.stats.num_vertices);
+  AppendU64(&stats, in.stats.num_edges);
+  AppendU64(&stats, in.stats.num_faces);
+  stats.push_back(in.stats.all_rectilinear ? 1 : 0);
+  const struct {
+    StoreSection kind;
+    std::string_view bytes;
+  } sections[] = {{StoreSection::kName, in.name},
+                  {StoreSection::kInstanceText, in.instance_text},
+                  {StoreSection::kCanonical, in.canonical},
+                  {StoreSection::kStats, stats}};
 
   // Payload: section table first, then the section bytes back to back.
   std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(sections.size()));
-  uint64_t offset = 4 + sections.size() * 24;  // First byte past the table.
-  for (const PendingSection& s : sections) {
+  AppendU32(&payload, static_cast<uint32_t>(std::size(sections)));
+  uint64_t offset = 4 + std::size(sections) * 24;  // First byte past the table.
+  for (const auto& s : sections) {
     AppendU32(&payload, static_cast<uint32_t>(s.kind));
     AppendU32(&payload, 0);  // reserved
     AppendU64(&payload, offset);
     AppendU64(&payload, s.bytes.size());
     offset += s.bytes.size();
   }
-  for (const PendingSection& s : sections) payload.append(s.bytes);
+  for (const auto& s : sections) payload.append(s.bytes);
 
   std::string file;
   file.reserve(kStoreHeaderBytes + payload.size());
@@ -264,7 +79,7 @@ std::string EncodeStoreFile(const StoredInstance& in) {
   return file;
 }
 
-Result<StoreFileView> StoreFileView::Parse(std::string_view bytes) {
+Result<StoreFileView> StoreFileView::ParseContainer(std::string_view bytes) {
   if (bytes.size() < kStoreHeaderBytes) {
     return Status::DataLoss("store file holds " +
                             std::to_string(bytes.size()) + " bytes, below " +
@@ -275,8 +90,10 @@ Result<StoreFileView> StoreFileView::Parse(std::string_view bytes) {
   if (magic != kStoreMagic) {
     return Status::DataLoss("bad store magic (not a TopoDB store file?)");
   }
+  // Checked before anything past the version field: a newer version may
+  // lay out the rest differently.
   const uint32_t version = static_cast<uint32_t>(ReadLE(bytes, 4, 4));
-  if (version != kStoreFormatVersion) {
+  if (version == 0 || version > kStoreFormatVersion) {
     return Status::Unsupported(
         "store format version " + std::to_string(version) +
         " (this build reads version " +
@@ -306,22 +123,23 @@ Result<StoreFileView> StoreFileView::Parse(std::string_view bytes) {
   view.format_version_ = version;
   view.checksum_ = checksum;
 
-  StoreCursor table(payload);
-  TOPODB_ASSIGN_OR_RETURN(uint32_t section_count, table.ReadU32());
+  if (payload.size() < 4) {
+    return Status::DataLoss("store payload has no section table");
+  }
+  const uint32_t section_count = static_cast<uint32_t>(ReadLE(payload, 0, 4));
   // 24 bytes per table entry must fit in the payload; this bound also
   // keeps a corrupt count from driving a giant allocation below.
-  if (static_cast<uint64_t>(section_count) * 24 > payload.size()) {
+  if (4 + static_cast<uint64_t>(section_count) * 24 > payload.size()) {
     return Status::DataLoss("store section table announces " +
                             std::to_string(section_count) +
                             " sections, more than the payload could hold");
   }
   view.sections_.reserve(section_count);
   for (uint32_t i = 0; i < section_count; ++i) {
-    TOPODB_ASSIGN_OR_RETURN(uint32_t kind, table.ReadU32());
-    TOPODB_ASSIGN_OR_RETURN(uint32_t reserved, table.ReadU32());
-    TOPODB_ASSIGN_OR_RETURN(uint64_t offset, table.ReadU64());
-    TOPODB_ASSIGN_OR_RETURN(uint64_t len, table.ReadU64());
-    (void)reserved;
+    const size_t entry = 4 + static_cast<size_t>(i) * 24;
+    const uint32_t kind = static_cast<uint32_t>(ReadLE(payload, entry, 4));
+    const uint64_t offset = ReadLE(payload, entry + 8, 8);
+    const uint64_t len = ReadLE(payload, entry + 16, 8);
     if (offset > payload.size() || len > payload.size() - offset) {
       return Status::DataLoss(
           "store section " + std::to_string(kind) + " spans [" +
@@ -338,22 +156,54 @@ Result<StoreFileView> StoreFileView::Parse(std::string_view bytes) {
     view.sections_.push_back(SectionSpan{kind, offset, len});
   }
   for (StoreSection required :
-       {StoreSection::kName, StoreSection::kInstanceText,
-        StoreSection::kCanonical, StoreSection::kInvariantData,
-        StoreSection::kThematic, StoreSection::kStats}) {
+       {StoreSection::kName, StoreSection::kInstanceText}) {
     if (!view.HasSection(required)) {
       return Status::DataLoss(
           "store file is missing required section kind " +
           std::to_string(static_cast<uint32_t>(required)));
     }
   }
-  if (view.Section(StoreSection::kStats).size() != 4 * 8) {
+  return view;
+}
+
+Result<StoreFileView> StoreFileView::Parse(std::string_view bytes) {
+  TOPODB_ASSIGN_OR_RETURN(StoreFileView view, ParseContainer(bytes));
+  if (view.format_version_ != kStoreFormatVersion) {
+    return Status::Unsupported(
+        "store format version " + std::to_string(view.format_version_) +
+        " (this build reads version " +
+        std::to_string(kStoreFormatVersion) +
+        "; opening the catalog re-ingests it)");
+  }
+  for (StoreSection required :
+       {StoreSection::kCanonical, StoreSection::kStats}) {
+    if (!view.HasSection(required)) {
+      return Status::DataLoss(
+          "store file is missing required section kind " +
+          std::to_string(static_cast<uint32_t>(required)));
+    }
+  }
+  const std::string_view stats = view.Section(StoreSection::kStats);
+  if (stats.size() != kStatsBytes) {
     return Status::DataLoss("store stats section has " +
-                            std::to_string(
-                                view.Section(StoreSection::kStats).size()) +
-                            " bytes, expected 32");
+                            std::to_string(stats.size()) + " bytes, expected " +
+                            std::to_string(kStatsBytes));
+  }
+  if (static_cast<unsigned char>(stats.back()) > 1) {
+    return Status::DataLoss("store stats flag byte is not 0 or 1");
   }
   return view;
+}
+
+Result<OlderStoreFile> ReadOlderStoreFile(std::string_view bytes) {
+  TOPODB_ASSIGN_OR_RETURN(StoreFileView view,
+                          StoreFileView::ParseContainer(bytes));
+  if (view.format_version() == kStoreFormatVersion) {
+    return Status::Unsupported("store file is already at format version " +
+                               std::to_string(kStoreFormatVersion));
+  }
+  return OlderStoreFile{std::string(view.name()),
+                        std::string(view.instance_text())};
 }
 
 bool StoreFileView::HasSection(StoreSection kind) const {
@@ -379,98 +229,8 @@ StoreStats StoreFileView::stats() const {
   stats.num_vertices = ReadLE(raw, 8, 8);
   stats.num_edges = ReadLE(raw, 16, 8);
   stats.num_faces = ReadLE(raw, 24, 8);
+  stats.all_rectilinear = raw[32] != 0;
   return stats;
-}
-
-Result<InvariantData> StoreFileView::DecodeInvariantData() const {
-  StoreCursor cursor(Section(StoreSection::kInvariantData));
-  InvariantData data;
-  TOPODB_ASSIGN_OR_RETURN(uint32_t num_regions, cursor.ReadU32());
-  TOPODB_ASSIGN_OR_RETURN(uint32_t num_vertices, cursor.ReadU32());
-  TOPODB_ASSIGN_OR_RETURN(uint32_t num_edges, cursor.ReadU32());
-  TOPODB_ASSIGN_OR_RETURN(uint32_t num_faces, cursor.ReadU32());
-  TOPODB_ASSIGN_OR_RETURN(data.exterior_face, cursor.ReadI32());
-  // Every array extent below is proportional to these counts; bounding
-  // them by the section size up front turns a corrupt count into one
-  // clean error instead of a grinding sequence of partial reads.
-  const uint64_t remaining = cursor.remaining();
-  if (static_cast<uint64_t>(num_vertices) * num_regions > remaining ||
-      static_cast<uint64_t>(num_edges) * 8 > remaining ||
-      static_cast<uint64_t>(num_faces) * 9 > remaining) {
-    return Status::DataLoss(
-        "store invariant section counts exceed the section size");
-  }
-  data.region_names.reserve(num_regions);
-  for (uint32_t r = 0; r < num_regions; ++r) {
-    TOPODB_ASSIGN_OR_RETURN(std::string name, cursor.ReadLenPrefixed());
-    data.region_names.push_back(std::move(name));
-  }
-  data.vertices.resize(num_vertices);
-  for (uint32_t v = 0; v < num_vertices; ++v) {
-    TOPODB_ASSIGN_OR_RETURN(data.vertices[v].label,
-                            ReadLabel(&cursor, num_regions));
-  }
-  data.edges.resize(num_edges);
-  for (uint32_t e = 0; e < num_edges; ++e) {
-    TOPODB_ASSIGN_OR_RETURN(uint32_t v1, cursor.ReadU32());
-    TOPODB_ASSIGN_OR_RETURN(uint32_t v2, cursor.ReadU32());
-    data.edges[e].v1 = static_cast<int>(v1);
-    data.edges[e].v2 = static_cast<int>(v2);
-  }
-  for (uint32_t e = 0; e < num_edges; ++e) {
-    TOPODB_ASSIGN_OR_RETURN(data.edges[e].label,
-                            ReadLabel(&cursor, num_regions));
-  }
-  data.faces.resize(num_faces);
-  for (uint32_t f = 0; f < num_faces; ++f) {
-    TOPODB_ASSIGN_OR_RETURN(uint8_t unbounded, cursor.ReadU8());
-    if (unbounded > 1) {
-      return Status::DataLoss("invalid face-unbounded byte " +
-                              std::to_string(unbounded));
-    }
-    data.faces[f].unbounded = unbounded != 0;
-  }
-  for (uint32_t f = 0; f < num_faces; ++f) {
-    TOPODB_ASSIGN_OR_RETURN(data.faces[f].outer_cycle_dart, cursor.ReadI32());
-  }
-  for (uint32_t f = 0; f < num_faces; ++f) {
-    TOPODB_ASSIGN_OR_RETURN(data.faces[f].label,
-                            ReadLabel(&cursor, num_regions));
-  }
-  const uint32_t num_darts = 2 * num_edges;
-  data.next_ccw.resize(num_darts);
-  for (uint32_t d = 0; d < num_darts; ++d) {
-    TOPODB_ASSIGN_OR_RETURN(data.next_ccw[d], cursor.ReadI32());
-  }
-  data.face_of_dart.resize(num_darts);
-  for (uint32_t d = 0; d < num_darts; ++d) {
-    TOPODB_ASSIGN_OR_RETURN(data.face_of_dart[d], cursor.ReadI32());
-  }
-  TOPODB_RETURN_NOT_OK(cursor.ExpectEnd());
-  const Status well_formed = data.CheckWellFormed();
-  if (!well_formed.ok()) {
-    return Status::DataLoss("store invariant section fails validation: " +
-                            well_formed.message());
-  }
-  return data;
-}
-
-Result<ThematicInstance> StoreFileView::DecodeThematic() const {
-  StoreCursor cursor(Section(StoreSection::kThematic));
-  ThematicInstance theme;
-  Status status = Status::OK();
-  ForEachThematicTable(theme, [&cursor, &status](Table& table) {
-    if (!status.ok()) return;
-    Result<Table> decoded = DecodeTable(&cursor);
-    if (decoded.ok()) {
-      table = std::move(decoded).value();
-    } else {
-      status = decoded.status();
-    }
-  });
-  TOPODB_RETURN_NOT_OK(status);
-  TOPODB_RETURN_NOT_OK(cursor.ExpectEnd());
-  return theme;
 }
 
 }  // namespace topodb

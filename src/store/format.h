@@ -1,17 +1,16 @@
 #ifndef TOPODB_STORE_FORMAT_H_
 #define TOPODB_STORE_FORMAT_H_
 
-// The TopoDB store-file format: one named spatial instance together with
-// everything ingest precomputed for it (normalized instance text,
-// canonical invariant string, optional S-invariant, the flat topological
-// invariant, thematic relations), serialized as a single flat byte blob
-// that a server memory-maps read-only at startup and serves without any
+// The TopoDB store-file format: one named spatial instance with what a
+// request reads of it (normalized instance text, canonical invariant
+// string, counts for DESCRIBE), serialized as a single flat byte blob that
+// a server memory-maps read-only at startup and serves without any
 // per-request parsing or arrangement rebuild.
 //
 // Layout (all integers little-endian):
 //
 //   offset  0  u32  magic           "TPDS" (0x53445054)
-//   offset  4  u32  format_version  kStoreFormatVersion (= 1)
+//   offset  4  u32  format_version  kStoreFormatVersion (= 2)
 //   offset  8  u64  payload_len     bytes following the 32-byte header
 //   offset 16  u64  checksum        FNV-1a 64 over the payload bytes
 //   offset 24  u64  reserved        0
@@ -20,22 +19,23 @@
 //     section_count * { u32 kind, u32 reserved, u64 offset, u64 len }
 //     ... section bytes (offsets relative to payload start) ...
 //
-// Sections appear in ascending kind order; every section is optional on
-// read (readers probe by kind), and readers must skip unknown kinds so a
-// newer writer can append sections without a version bump. Changing the
-// meaning or encoding of an existing section IS a version bump: the
-// golden byte-layout test in tests/store_test.cc exists to make any
-// layout drift an explicit, reviewed change.
+// Version 2 writes sections 1, 2, 3 and 7, in that order. Readers probe by
+// kind and must skip unknown kinds, so a newer writer can append sections
+// without a version bump. Changing the meaning or encoding of an existing
+// section IS a version bump: the golden byte-layout test in
+// tests/store_test.cc exists to make any layout drift an explicit,
+// reviewed change.
 //
-// Everything inside a section is either raw bytes (strings), fixed-width
-// little-endian arrays, or u32-length-prefixed strings — a mapped file is
-// readable in place with base-offset arithmetic only, no pointer fix-up.
+// Every version keeps this header and section table, and writes the name
+// and instance text as sections 1 and 2: that is all Catalog::Open needs
+// to re-ingest a file of an older version (ReadOlderStoreFile).
 //
 // Validation contract: Parse() checks the magic, the version, that the
 // header-announced payload length matches the bytes actually present,
-// the payload checksum, and that every section lies inside the payload.
-// A corrupt or truncated file is a clean DataLoss error (an unknown
-// format version is Unsupported), never UB — the corrupt-store suite
+// the payload checksum, that every section lies inside the payload, that
+// no kind repeats, and the required sections and stats size. A corrupt
+// or truncated file is a clean DataLoss error (a format version other
+// than this build's is Unsupported), never UB — the corrupt-store suite
 // drives every one of these paths under ASan/UBSan.
 
 #include <cstdint>
@@ -44,43 +44,41 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/invariant/data.h"
-#include "src/thematic/thematic.h"
 
 namespace topodb {
 
 inline constexpr uint32_t kStoreMagic = 0x53445054;  // "TPDS" as LE bytes.
-inline constexpr uint32_t kStoreFormatVersion = 1;
+inline constexpr uint32_t kStoreFormatVersion = 2;
 inline constexpr size_t kStoreHeaderBytes = 32;
 
 // Section kinds. Values are format-stable: never renumber, only append.
+// Kinds 4-6 held the S-invariant, the flat invariant data and the thematic
+// tables in format 1, which no request read; they are reserved, never to
+// be reused.
 enum class StoreSection : uint32_t {
-  kName = 1,           // Catalog entry name, raw bytes.
-  kInstanceText = 2,   // WriteInstanceText output (the geometry source).
-  kCanonical = 3,      // Canonical invariant string (default options).
-  kSInvariant = 4,     // S-invariant canonical; absent unless rectilinear.
-  kInvariantData = 5,  // Flat InvariantData encoding (see format.cc).
-  kThematic = 6,       // Serialized thematic relations.
-  kStats = 7,          // Fixed u64 counts for LIST/DESCRIBE.
+  kName = 1,          // Catalog entry name, raw bytes.
+  kInstanceText = 2,  // WriteInstanceText output (the geometry source).
+  kCanonical = 3,     // Canonical invariant string (default options).
+  kStats = 7,         // Four u64 counts, then a u8 flag; see StoreStats.
 };
 
-// The kStats section, also surfaced by DESCRIBE.
+// The kStats section, surfaced by DESCRIBE.
 struct StoreStats {
   uint64_t num_regions = 0;
   uint64_t num_vertices = 0;
   uint64_t num_edges = 0;
   uint64_t num_faces = 0;
+  // Region::IsRectilinear holds for every region (true when there are
+  // none): exactly the instances that have an S-invariant (Fig 14).
+  bool all_rectilinear = false;
 };
 
-// Everything ingest precomputes for one named instance.
+// Everything ingest persists for one named instance.
 struct StoredInstance {
   std::string name;
   std::string instance_text;
   std::string canonical;
-  bool has_s_invariant = false;
-  std::string s_invariant;
-  InvariantData invariant;
-  ThematicInstance thematic;
+  StoreStats stats;
 };
 
 // FNV-1a 64-bit digest — the payload checksum. Not cryptographic: it
@@ -92,17 +90,30 @@ uint64_t Fnv1a64(std::string_view bytes);
 // produce byte-identical files (the golden-layout test relies on this).
 std::string EncodeStoreFile(const StoredInstance& in);
 
+// The name and instance text of a file written by an older format
+// version, which the catalog re-ingests in place.
+struct OlderStoreFile {
+  std::string name;
+  std::string instance_text;
+};
+
+// Validates an older-version file as Parse() validates a current one, up
+// to and including the section table, and requires its name and text
+// sections. Unsupported unless 1 <= version < kStoreFormatVersion.
+Result<OlderStoreFile> ReadOlderStoreFile(std::string_view bytes);
+
 // A validated, zero-copy view over store-file bytes (typically an mmap).
 // Holds offsets into the underlying buffer only; the buffer must outlive
 // the view (the catalog guarantees this by owning the mapping and the
 // view together — see catalog.h for the lifetime rules).
 class StoreFileView {
  public:
-  // Validates header, length, checksum, and section bounds.
+  // Validates header, length, checksum, section bounds, required sections
+  // and the stats section. Unsupported for any version but this build's.
   static Result<StoreFileView> Parse(std::string_view bytes);
 
   // Stable content id of this entry: the payload checksum, so any change
-  // to any persisted byte (name, text, invariants) changes the id. Cache
+  // to any persisted byte (name, text, canonical) changes the id. Cache
   // keys derived from an entry pair this with format_version().
   uint64_t entry_id() const { return checksum_; }
   uint32_t format_version() const { return format_version_; }
@@ -114,27 +125,23 @@ class StoreFileView {
   std::string_view canonical() const {
     return Section(StoreSection::kCanonical);
   }
-  bool has_s_invariant() const {
-    return HasSection(StoreSection::kSInvariant);
-  }
-  std::string_view s_invariant() const {
-    return Section(StoreSection::kSInvariant);
-  }
+  // Whether the instance has an S-invariant (Fig 14): the stats flag.
+  bool has_s_invariant() const { return stats().all_rectilinear; }
   StoreStats stats() const;
 
-  // Materializing decoders, used by EVAL-over-catalog serving and the
-  // round-trip tests. Both re-validate internal structure (index ranges,
-  // array extents) so a section that passed the checksum but encodes
-  // nonsense still fails cleanly.
-  Result<InvariantData> DecodeInvariantData() const;
-  Result<ThematicInstance> DecodeThematic() const;
-
  private:
+  friend Result<OlderStoreFile> ReadOlderStoreFile(std::string_view bytes);
+
   struct SectionSpan {
     uint32_t kind = 0;
     uint64_t offset = 0;  // Relative to payload start.
     uint64_t len = 0;
   };
+
+  // The checks every format version shares: header, checksum, section
+  // table, and the name and text sections. Accepts versions 1 through
+  // kStoreFormatVersion.
+  static Result<StoreFileView> ParseContainer(std::string_view bytes);
 
   bool HasSection(StoreSection kind) const;
   // Empty view for absent sections.

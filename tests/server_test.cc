@@ -19,6 +19,7 @@
 
 #include "src/client/client.h"
 #include "src/invariant/canonical.h"
+#include "src/invariant/data.h"
 #include "src/query/eval.h"
 #include "src/region/fixtures.h"
 #include "src/region/io.h"
@@ -543,8 +544,18 @@ TEST(ServerTest, CatalogServingMatchesTheTextPathByteForByte) {
   ASSERT_TRUE(described.ok()) << described.status().ToString();
   EXPECT_EQ(described->entry_id, loaded->entry_id);
   EXPECT_EQ(described->num_regions, Fig1aInstance().size());
-  EXPECT_GT(described->num_faces, 0u);
+  const auto invariant = ComputeInvariant(Fig1aInstance());
+  ASSERT_TRUE(invariant.ok()) << invariant.status().ToString();
+  EXPECT_EQ(described->num_vertices, invariant->vertices.size());
+  EXPECT_EQ(described->num_edges, invariant->edges.size());
+  EXPECT_EQ(described->num_faces, invariant->faces.size());
+  EXPECT_TRUE(described->has_s_invariant);  // Every fig1a region is Rect*.
   EXPECT_GT(described->canonical_bytes, 0u);
+  // Fig 7a has triangles, so it has no S-invariant.
+  ASSERT_TRUE(client.Load("fig7a", WriteInstanceText(Fig7aInstance())).ok());
+  const auto fig7a = client.Describe("fig7a");
+  ASSERT_TRUE(fig7a.ok()) << fig7a.status().ToString();
+  EXPECT_FALSE(fig7a->has_s_invariant);
 
   // The acceptance bar: a catalog-name request returns byte-identical
   // results to the inline-text request, for every opcode that takes a
