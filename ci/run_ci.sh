@@ -4,14 +4,13 @@
 #   1. Configure + build + full ctest suite in build-ci/ (the same command
 #      sequence as ROADMAP.md's verify step, in a separate tree so a
 #      developer's ./build is left alone).
-#   2. Smoke-run the pipeline benches (batch invariants + query evaluation
-#      + query planner/semantic cache) so their reports, verdict assertions
-#      and every strategy/thread code path execute on each CI run; any
-#      nonzero exit fails CI. The batch bench also writes its per-stage
-#      metrics JSON to ci/artifacts/, which is validated against the
-#      topodb.metrics schema and archived; bench_query_plan's export is
-#      validated for the planner.* / semcache.* series, and the checked-in
-#      BENCH_query_plan.json is held to the cache-speedup floor.
+#   2. Smoke-run the pipeline benches (batch invariants + query planner/
+#      semantic cache) so their reports and verdict assertions execute on
+#      each CI run; any nonzero exit fails CI. The batch bench also writes
+#      its per-stage metrics JSON to ci/artifacts/, which is validated
+#      against the topodb.metrics schema and archived; bench_query_plan's
+#      export is validated for the planner.* / semcache.* series, and the
+#      checked-in BENCH_query_plan.json is held to the cache-speedup floor.
 #   3. Loopback serving smoke: start topodb_server on an ephemeral port,
 #      drive it with topodb_client (PING + BATCH_INVARIANTS), then SIGTERM
 #      and assert the graceful-drain exit code. Also smoke-runs
@@ -49,9 +48,9 @@
 #      transitions for out-of-bounds access and double frees.
 #   5. Rebuild under TSan in build-tsan/ and run the ConcurrencyTest,
 #      ServerTest, RouterTest, ServerTruncationTest and FrontDoorTest
-#      suites (shared caches, shared registries, parallel fan-out,
-#      mid-flight cancellation, the full serving path, the shared front
-#      door) — the cross-thread paths, specifically.
+#      suites (shared caches, shared registries, one query engine serving
+#      many threads, mid-flight cancellation, the full serving path, the
+#      shared front door) — the cross-thread paths, specifically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,25 +64,18 @@ run_suite() {
 echo "==> tier-1: build + ctest"
 run_suite build-ci
 
-echo "==> bench smoke: pipeline batch + query evaluation"
+echo "==> bench smoke: pipeline batch"
 # TOPODB_BENCH_SMOKE shrinks workloads/repetitions; --benchmark_min_time
-# caps each timing series at 0.01s. bench_query_eval exits nonzero on any
-# baseline-vs-bitset verdict mismatch, making the smoke run a correctness
-# gate, not just a liveness check.
+# caps each timing series at 0.01s.
 mkdir -p ci/artifacts
 TOPODB_BENCH_SMOKE=1 \
 TOPODB_METRICS_JSON=ci/artifacts/pipeline_batch_metrics.json \
 TOPODB_BENCH_PREDICATES_JSON=ci/artifacts/bench_predicates.json \
 TOPODB_BENCH_EXACT_ARITH_JSON=ci/artifacts/bench_exact_arith.json \
   ./build-ci/bench/bench_pipeline_batch --benchmark_min_time=0.01
-TOPODB_BENCH_SMOKE=1 \
-TOPODB_METRICS_JSON=ci/artifacts/query_eval_metrics.json \
-  ./build-ci/bench/bench_query_eval --benchmark_min_time=0.01
 
 echo "==> metrics artifact: validate schema"
 python3 ci/check_metrics_json.py ci/artifacts/pipeline_batch_metrics.json
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
-  ci/artifacts/query_eval_metrics.json
 # Exact-vs-filtered predicate comparison rows (timings + per-stage filter
 # hit counters). No --min-speedup in the smoke run: its workloads are
 # deliberately tiny; BENCH_predicates.json in the repo root records the
@@ -215,6 +207,12 @@ $client eval @fig1a "connect(A, A)" | grep -qx "true" \
   || { echo "eval connect(A, A) on fig1a should be true"; exit 1; }
 $client eval @fig1a "not (not connect(A, A))" | grep -qx "true" \
   || { echo "respelled eval should hit the verdict cache as true"; exit 1; }
+# A warm verdict never answers for an unknown name: "connect(Z, Z) and
+# false" canonicalizes to "false", whose verdict is now cached, and must
+# still be NotFound (4).
+$client eval @fig1a "false" | grep -qx "false" \
+  || { echo "eval false on fig1a should be false"; exit 1; }
+expect_exit 4 $client eval @fig1a "connect(Z, Z) and false"
 $client metrics > ci/artifacts/catalog_metrics.json
 python3 ci/check_metrics_json.py ci/artifacts/catalog_metrics.json \
   --require-semcache

@@ -15,8 +15,6 @@ using i128 = __int128;
 
 constexpr uint64_t kBase = uint64_t{1} << 32;
 
-thread_local bool tls_fast_path = true;
-
 // Magnitude of a <=2-limb value as a machine word. Callers must check the
 // limb count first.
 inline uint64_t MagU64(const LimbVec& limbs) {
@@ -87,9 +85,6 @@ uint32_t DivModSmall(LimbVec* limbs, uint32_t divisor) {
 }
 
 }  // namespace
-
-void SetBigIntFastPathEnabled(bool enabled) { tls_fast_path = enabled; }
-bool BigIntFastPathEnabled() { return tls_fast_path; }
 
 void BigInt::SetMag64(uint64_t mag, int sign) {
   limbs_.clear();
@@ -255,7 +250,7 @@ BigInt BigInt::operator-() const {
 }
 
 BigInt BigInt::operator+(const BigInt& other) const {
-  if (tls_fast_path && limbs_.size() <= 2 && other.limbs_.size() <= 2) {
+  if (limbs_.size() <= 2 && other.limbs_.size() <= 2) {
     // Signed 128-bit sum of two <=65-bit values; cannot overflow.
     BigInt result;
     result.SetI128(i128(sign_) * i128(MagU64(limbs_)) +
@@ -283,7 +278,7 @@ BigInt BigInt::operator+(const BigInt& other) const {
 }
 
 BigInt BigInt::operator-(const BigInt& other) const {
-  if (tls_fast_path && limbs_.size() <= 2 && other.limbs_.size() <= 2) {
+  if (limbs_.size() <= 2 && other.limbs_.size() <= 2) {
     BigInt result;
     result.SetI128(i128(sign_) * i128(MagU64(limbs_)) -
                    i128(other.sign_) * i128(MagU64(other.limbs_)));
@@ -293,7 +288,7 @@ BigInt BigInt::operator-(const BigInt& other) const {
 }
 
 BigInt& BigInt::AddInPlace(int osign, const LimbVec& olimbs) {
-  if (tls_fast_path && limbs_.size() <= 2 && olimbs.size() <= 2) {
+  if (limbs_.size() <= 2 && olimbs.size() <= 2) {
     SetI128(i128(sign_) * i128(MagU64(limbs_)) +
             i128(osign) * i128(MagU64(olimbs)));
     return *this;
@@ -324,7 +319,7 @@ BigInt& BigInt::AddInPlace(int osign, const LimbVec& olimbs) {
 }
 
 BigInt& BigInt::operator*=(const BigInt& other) {
-  if (tls_fast_path && limbs_.size() <= 2 && other.limbs_.size() <= 2) {
+  if (limbs_.size() <= 2 && other.limbs_.size() <= 2) {
     const int sign = sign_ * other.sign_;
     SetMag128(u128(MagU64(limbs_)) * u128(MagU64(other.limbs_)), sign);
     return *this;
@@ -333,7 +328,7 @@ BigInt& BigInt::operator*=(const BigInt& other) {
 }
 
 BigInt BigInt::operator*(const BigInt& other) const {
-  if (tls_fast_path && limbs_.size() <= 2 && other.limbs_.size() <= 2) {
+  if (limbs_.size() <= 2 && other.limbs_.size() <= 2) {
     BigInt result;
     result.SetMag128(u128(MagU64(limbs_)) * u128(MagU64(other.limbs_)),
                      sign_ * other.sign_);
@@ -366,7 +361,7 @@ BigInt BigInt::operator*(const BigInt& other) const {
 void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
                     BigInt* remainder) {
   TOPODB_CHECK_MSG(b.sign_ != 0, "division by zero");
-  if (tls_fast_path && b.limbs_.size() <= 2 && a.limbs_.size() <= 4) {
+  if (b.limbs_.size() <= 2 && a.limbs_.size() <= 4) {
     // 128/64-bit machine division. Magnitudes are read before either
     // output is written, so outputs may alias the inputs.
     const u128 am = MagU128(a.limbs_);
@@ -403,7 +398,6 @@ void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
   // pipeline reduces rationals whose numerators reach hundreds of bits
   // (products of stretched coordinates); the bit-at-a-time schoolbook
   // division this replaced cost O(bits * n) and dominated those profiles.
-  // DivModReference keeps the schoolbook loop as the differential oracle.
   const size_t n = b.limbs_.size();
   const size_t m = a.limbs_.size();
   // Normalize: shift so the divisor's top limb has its high bit set, which
@@ -494,52 +488,6 @@ void BigInt::DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
   }
 }
 
-void BigInt::DivModReference(const BigInt& a, const BigInt& b,
-                             BigInt* quotient, BigInt* remainder) {
-  TOPODB_CHECK_MSG(b.sign_ != 0, "division by zero");
-  if (CompareMagnitude(a.limbs_, b.limbs_) < 0) {
-    if (quotient) *quotient = BigInt();
-    if (remainder) *remainder = a;
-    return;
-  }
-  // Shift-and-subtract long division on magnitudes: one bit per step,
-  // nothing estimated — the oracle Algorithm D is fuzzed against.
-  int abits = a.BitLength();
-  int bbits = b.BitLength();
-  LimbVec q;
-  q.assign((abits + 31) / 32, 0);
-  BigInt rem;
-  rem.sign_ = 0;
-  for (int bit = abits - 1; bit >= 0; --bit) {
-    // rem = rem * 2 + bit_of_a
-    uint64_t carry = (a.limbs_[bit / 32] >> (bit % 32)) & 1u;
-    for (uint32_t& limb : rem.limbs_) {
-      uint64_t cur = (uint64_t{limb} << 1) | carry;
-      limb = static_cast<uint32_t>(cur & 0xffffffffu);
-      carry = cur >> 32;
-    }
-    if (carry) rem.limbs_.push_back(static_cast<uint32_t>(carry));
-    if (!rem.limbs_.empty()) rem.sign_ = 1;
-    if (bit < abits && bbits <= rem.BitLength() &&
-        CompareMagnitude(rem.limbs_, b.limbs_) >= 0) {
-      rem.limbs_ = SubMagnitude(rem.limbs_, b.limbs_);
-      if (rem.limbs_.empty()) rem.sign_ = 0;
-      q[bit / 32] |= uint32_t{1} << (bit % 32);
-    }
-  }
-  const int qsign = a.sign_ * b.sign_;
-  const int rsign = a.sign_;
-  if (quotient) {
-    quotient->limbs_ = std::move(q);
-    quotient->sign_ = qsign;
-    quotient->Trim();
-  }
-  if (remainder) {
-    rem.sign_ = rem.limbs_.empty() ? 0 : rsign;
-    *remainder = std::move(rem);
-  }
-}
-
 BigInt BigInt::operator/(const BigInt& other) const {
   BigInt q;
   DivMod(*this, other, &q, nullptr);
@@ -553,7 +501,7 @@ BigInt BigInt::operator%(const BigInt& other) const {
 }
 
 BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
-  if (tls_fast_path && a.limbs_.size() <= 2 && b.limbs_.size() <= 2) {
+  if (a.limbs_.size() <= 2 && b.limbs_.size() <= 2) {
     uint64_t x = MagU64(a.limbs_);
     uint64_t y = MagU64(b.limbs_);
     while (y != 0) {
@@ -581,7 +529,7 @@ BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
   ShiftRightInPlace(&y.limbs_, yz);
   // Both odd from here on; the loop keeps them odd.
   while (true) {
-    if (tls_fast_path && x.limbs_.size() <= 2 && y.limbs_.size() <= 2) {
+    if (x.limbs_.size() <= 2 && y.limbs_.size() <= 2) {
       // Shrunk into machine words: finish with the 64-bit loop.
       uint64_t u = MagU64(x.limbs_);
       uint64_t v = MagU64(y.limbs_);
@@ -609,7 +557,7 @@ BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
 BigInt BigInt::ShiftLeft(int bits) const {
   TOPODB_CHECK_MSG(bits >= 0, "negative shift");
   if (sign_ == 0 || bits == 0) return *this;
-  if (tls_fast_path && limbs_.size() <= 2 && bits + BitLength() <= 127) {
+  if (limbs_.size() <= 2 && bits + BitLength() <= 127) {
     BigInt result;
     result.SetMag128(u128(MagU64(limbs_)) << bits, sign_);
     return result;

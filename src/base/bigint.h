@@ -27,7 +27,7 @@ namespace topodb {
 // operator has a branch-predictable 64/128-bit fast path that promotes to
 // the general limb algorithms only on overflow. The general algorithms
 // favour simplicity and correctness over asymptotics: schoolbook
-// multiplication and shift-and-subtract division.
+// multiplication and Knuth's Algorithm D division.
 class BigInt {
  public:
   BigInt() : sign_(0) {}
@@ -71,11 +71,6 @@ class BigInt {
   BigInt& operator*=(const BigInt& other);
 
   // Computes quotient and remainder in one pass; either output may be null.
-  // Bit-at-a-time shift-and-subtract division: the pre-Knuth-D general
-  // path, kept verbatim as the differential oracle the fast-path fuzz
-  // suite holds DivMod against. Never called on a hot path.
-  static void DivModReference(const BigInt& a, const BigInt& b,
-                              BigInt* quotient, BigInt* remainder);
   static void DivMod(const BigInt& a, const BigInt& b, BigInt* quotient,
                      BigInt* remainder);
 
@@ -145,13 +140,6 @@ class BigInt {
   int sign_;
   LimbVec limbs_;
 };
-
-// Thread-local toggle for the 64/128-bit small-value fast paths (default
-// on). The differential fuzz suite turns them off to re-run identical
-// operations through the general limb algorithms and assert bit-identical
-// results; production code never disables them.
-void SetBigIntFastPathEnabled(bool enabled);
-bool BigIntFastPathEnabled();
 
 }  // namespace topodb
 

@@ -8,8 +8,8 @@
 namespace topodb {
 
 // Resolves a user-facing `num_threads` knob into an actual worker count.
-// The convention, shared by every parallel entry point (BatchComputeInvariants,
-// BatchEvaluateQueries/BatchEvaluateQuery, QueryEngine parallel fan-out):
+// The convention, shared by BatchComputeInvariants and the server's worker
+// pool (ServerOptions::num_workers):
 //
 //   num_threads > 0   use exactly that many workers
 //   num_threads == 0  use std::thread::hardware_concurrency()

@@ -86,8 +86,8 @@ std::vector<Result<TopologicalInvariant>> BatchComputeInvariants(
 
   Result<size_t> workers_or = ResolveWorkerCount(options.num_threads, n);
   if (!workers_or.ok()) {
-    // Malformed options fail every item uniformly, like a malformed query
-    // in BatchEvaluateQuery: alignment is preserved, nothing runs.
+    // Malformed options fail every item uniformly: alignment is
+    // preserved, nothing runs.
     for (size_t i = 0; i < n; ++i) results[i] = workers_or.status();
     return results;
   }

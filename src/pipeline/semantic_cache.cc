@@ -17,11 +17,9 @@ SemanticCache::SemanticCache(SemanticCacheOptions options)
 
 std::string EvalOptionsFingerprint(const EvalOptions& options) {
   std::ostringstream os;
-  os << "s=" << (options.strategy == EvalStrategy::kBitset ? "bitset"
-                                                           : "baseline")
-     << ";rc=" << options.max_region_candidates
+  os << "rc=" << options.max_region_candidates
      << ";es=" << options.max_enumeration_steps
-     << ";t=" << options.num_threads << ";p=" << (options.plan ? 1 : 0);
+     << ";p=" << (options.plan ? 1 : 0);
   return os.str();
 }
 
@@ -46,6 +44,10 @@ Result<bool> EvaluateQueryCached(const QueryEngine& engine,
   if (options.semantic_cache == nullptr || options.cache_entry_id == 0) {
     return engine.Evaluate(query, options);
   }
+  // Name check on the input: the key is canonical, and canonicalization
+  // folds `connect(Z, Z) and false` to `false`, so a warm `false` would
+  // otherwise answer a query the engine rejects with NotFound.
+  TOPODB_RETURN_NOT_OK(engine.ValidateAtomNames(*query));
   std::string key;
   {
     ScopedTimer timer(RegistryHistogram(options.metrics, "semcache.key_us"));

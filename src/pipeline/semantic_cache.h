@@ -26,8 +26,8 @@ namespace topodb {
 // age out of the LRU. Names are deliberately *not* part of the key.
 //
 // Verdicts also depend on evaluation limits (budget exhaustion points
-// differ across budgets, strategies and thread counts), so the key embeds
-// a fingerprint of the verdict-relevant EvalOptions. Deadlines are
+// differ across budgets), so the key embeds a fingerprint of the
+// verdict-relevant EvalOptions. Deadlines are
 // excluded: they bound wall-clock, not the answer, and a cache hit under
 // an expired deadline must still fail — EvaluateQueryCached checks the
 // stop signal *before* the lookup. Errors are never cached: a budget or
@@ -53,10 +53,10 @@ class SemanticCache : public BoundedCache<std::string, bool> {
 };
 
 // The verdict-relevant slice of EvalOptions, rendered deterministically:
-// strategy, budgets, thread count and the plan flag — everything that can
-// move a budget-exhaustion point or change which evaluator runs. Deadline,
-// cancel token and metrics sink are excluded (they never change a
-// successful verdict, and errors are not cached).
+// the two budgets and the plan flag — everything that can move a
+// budget-exhaustion point. Deadline, cancel token and metrics sink are
+// excluded (they never change a successful verdict, and errors are not
+// cached).
 std::string EvalOptionsFingerprint(const EvalOptions& options);
 
 // Full cache key: (entry_id, format_version, options fingerprint,
@@ -73,9 +73,12 @@ std::string SemanticCacheKey(uint64_t entry_id, uint32_t format_version,
 //   2. Falls through to plain engine.Evaluate when options.semantic_cache
 //      is null or options.cache_entry_id is 0 (no durable identity, e.g.
 //      inline instance text).
-//   3. On a hit, returns the cached verdict without touching the engine:
-//      no region-candidate or enumeration budget is consumed.
-//   4. On a miss, evaluates and caches the verdict only on success.
+//   3. Fails with NotFound when an atom names a region the instance does
+//      not have (QueryEngine::ValidateAtomNames on the input query), warm
+//      or cold: the canonical key may have folded that atom away.
+//   4. On a hit, returns the cached verdict without evaluating: no
+//      region-candidate or enumeration budget is consumed.
+//   5. On a miss, evaluates and caches the verdict only on success.
 Result<bool> EvaluateQueryCached(const QueryEngine& engine,
                                  const FormulaPtr& query,
                                  const EvalOptions& options);

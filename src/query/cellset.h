@@ -14,10 +14,10 @@
 namespace topodb {
 
 // A set of cells of one arrangement, packed 64 cells per word. This is the
-// value type of the fast Section-7 evaluator (eval.cc): every atom of the
+// value type of the Section-7 evaluator (eval.cc): every atom of the
 // region language reduces to word-parallel AND/OR/subset/emptiness tests
 // over these, so evaluation cost per atom is O(cells / 64) instead of the
-// byte-per-cell loops of the baseline evaluator.
+// byte-per-cell loops of the reference evaluator (tests/reference_eval.h).
 //
 // The word kernels (Intersects, IsSubsetOf, Count, bulk AND/OR/ANDNOT)
 // additionally carry an AVX2 path processing four words per step with a
@@ -28,7 +28,7 @@ namespace topodb {
 //
 // All binary operations require both operands to have the same size_bits()
 // (they always describe the same arrangement); trailing bits of the last
-// word are kept zero so count/equality/hash never see garbage.
+// word are kept zero so count/equality never see garbage.
 class CellSet {
  public:
   CellSet() = default;
@@ -40,7 +40,7 @@ class CellSet {
   // Raw word access (word i covers cells [64*i, 64*i+64)).
   uint64_t word(size_t i) const { return words_[i]; }
   // Raw word write; the caller must keep trailing bits beyond size_bits()
-  // zero (count/equality/hash assume it).
+  // zero (count/equality assume it).
   void set_word(size_t i, uint64_t value) { words_[i] = value; }
 
   void Assign(int bits) {
@@ -190,19 +190,6 @@ class CellSet {
     return a.bits_ == b.bits_ && a.words_ == b.words_;
   }
 
-  // FNV-1a over the words; used to bucket memo entries (full equality
-  // confirms hits, so collisions are handled, never wrong).
-  uint64_t Hash() const {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (uint64_t w : words_) {
-      for (int b = 0; b < 64; b += 8) {
-        h ^= (w >> b) & 0xff;
-        h *= 0x100000001b3ULL;
-      }
-    }
-    return h;
-  }
-
   // Calls fn(i) for every set bit in ascending order.
   template <typename Fn>
   void ForEachSetBit(Fn&& fn) const {
@@ -216,7 +203,8 @@ class CellSet {
     }
   }
 
-  // Conversions to/from the baseline evaluator's byte-per-cell encoding.
+  // Conversions to/from the byte-per-cell encoding of the reference
+  // evaluator (tests/reference_eval.h).
   std::vector<char> ToCharVector() const {
     std::vector<char> out(bits_, 0);
     ForEachSetBit([&](int i) { out[i] = 1; });

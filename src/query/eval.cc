@@ -1,41 +1,19 @@
 #include "src/query/eval.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <deque>
-#include <functional>
-#include <limits>
 #include <mutex>
-#include <optional>
-#include <queue>
 #include <set>
-#include <thread>
-#include <unordered_map>
 
 #include "src/base/check.h"
-#include "src/base/threading.h"
 
 namespace topodb {
 
 namespace {
 
-bool AnyCommon(const std::vector<char>& a, const std::vector<char>& b) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] && b[i]) return true;
-  }
-  return false;
-}
-
-bool SubsetOf(const std::vector<char>& a, const std::vector<char>& b) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] && !b[i]) return false;
-  }
-  return true;
-}
-
-// Both evaluators produce these errors at the same enumeration points, so
-// verdicts (and error messages) are strategy-independent.
+// The reference evaluator (tests/reference_eval.cc) produces the same
+// texts at the same enumeration points.
 Status BudgetExhaustedError(int64_t limit) {
   return Status::ResourceExhausted(
       "region quantifier candidate budget exhausted (max_region_candidates=" +
@@ -52,9 +30,10 @@ Status StepsExhaustedError(int64_t limit) {
 
 // Resumable enumerator of the raw region-quantifier candidates: connected
 // face sets of the dual graph, each produced exactly once (enumeration by
-// canonical root + forbidden set), in exactly the order of the baseline
-// evaluator's recursive enumeration — the explicit stack mirrors its
-// call tree, which is what makes budget accounting strategy-independent.
+// canonical root + forbidden set), in exactly the order of the reference
+// evaluator's recursive enumeration (tests/reference_eval.cc) — the
+// explicit stack mirrors its call tree, so budget and step error points
+// match the reference's.
 class RawCandidateEnumerator {
  public:
   explicit RawCandidateEnumerator(const std::vector<std::vector<int>>& dual)
@@ -214,28 +193,12 @@ class RawCandidateEnumerator {
   std::vector<WordFrame> word_stack_;
 };
 
-// The internally synchronized mutable caches of one engine. Lock order:
-// range_mu before memo_mu (FetchDiscValue holds range_mu while the disc
-// check takes memo_mu); no path acquires them in the other order.
-struct QueryEngine::QueryCaches {
-  // Memoized disc checks, bucketed by face-set hash; full face-set
-  // equality confirms hits, so collisions are handled, never wrong.
-  struct MemoEntry {
-    CellSet faces;
-    bool is_disc;
-    CellSet completed;
-  };
-  std::mutex memo_mu;
-  std::unordered_map<uint64_t, std::vector<MemoEntry>> memo;
-  // Memo traffic tallies (guarded by memo_mu; read via cache_stats()).
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
-
-  // The materialized region-quantifier range: disc values in enumeration
-  // order, extended lazily and shared by every binding, evaluation and
-  // batch on this engine. A deque keeps appended entries at stable
-  // addresses, so FetchDiscValue can hand out pointers.
-  std::mutex range_mu;
+// The materialized region-quantifier range: disc values in enumeration
+// order, extended lazily and shared by every binding and evaluation on
+// this engine. A deque keeps appended entries at stable addresses, so
+// FetchDiscValue can hand out pointers.
+struct QueryEngine::DiscRange {
+  std::mutex mu;
   std::deque<DiscValue> values;
   std::unique_ptr<RawCandidateEnumerator> raw;
   int64_t raw_total = 0;
@@ -250,51 +213,44 @@ QueryEngine::~QueryEngine() = default;
 Result<QueryEngine> QueryEngine::Build(const SpatialInstance& instance) {
   TOPODB_ASSIGN_OR_RETURN(CellComplex complex, CellComplex::Build(instance));
   QueryEngine engine(std::move(complex));
-  engine.BuildUniverse();
+  TOPODB_RETURN_NOT_OK(engine.BuildUniverse());
   return engine;
 }
 
-void QueryEngine::BuildUniverse() {
+Status QueryEngine::BuildUniverse() {
   nv_ = static_cast<int>(complex_.vertices().size());
   ne_ = static_cast<int>(complex_.edges().size());
   nf_ = static_cast<int>(complex_.faces().size());
   const int total = nv_ + ne_ + nf_;
-  closure_.assign(total, {});
-  incidence_.assign(total, {});
   face_dual_.assign(nf_, {});
   vertex_faces_.assign(nv_, {});
   edge_faces_.assign(ne_, {-1, -1});
 
   auto edge_cell = [&](int e) { return nv_ + e; };
   auto face_cell = [&](int f) { return nv_ + ne_ + f; };
-
-  auto add_incidence = [&](int a, int b) {
-    incidence_[a].push_back(b);
-    incidence_[b].push_back(a);
+  auto sort_unique = [](std::vector<std::vector<int>>* lists) {
+    for (std::vector<int>& list : *lists) {
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+    }
   };
 
+  // Per-cell closures including the cell itself, so the closure of any set
+  // is the word-parallel OR of its members': an edge adds its endpoints, a
+  // face the closures of the edges on any of its cycles.
+  closure_bits_.assign(total, CellSet(total));
+  for (int c = 0; c < total; ++c) closure_bits_[c].Set(c);
   for (int e = 0; e < ne_; ++e) {
     auto [u, v] = complex_.EdgeEndpoints(e);
-    closure_[edge_cell(e)].push_back(u);
-    if (v != u) closure_[edge_cell(e)].push_back(v);
-    add_incidence(edge_cell(e), u);
-    if (v != u) add_incidence(edge_cell(e), v);
+    closure_bits_[edge_cell(e)].Set(u);
+    closure_bits_[edge_cell(e)].Set(v);
   }
-  // Face closures: edges (and their endpoints) on any of its cycles.
   for (int f = 0; f < nf_; ++f) {
-    std::set<int> boundary;
     for (int rep : complex_.faces()[f].cycle_darts) {
       for (int d : complex_.FaceCycle(rep)) {
-        const int e = complex_.darts()[d].edge;
-        boundary.insert(edge_cell(e));
-        auto [u, v] = complex_.EdgeEndpoints(e);
-        boundary.insert(u);
-        boundary.insert(v);
+        closure_bits_[face_cell(f)] |=
+            closure_bits_[edge_cell(complex_.darts()[d].edge)];
       }
-    }
-    for (int cell : boundary) {
-      closure_[face_cell(f)].push_back(cell);
-      if (cell >= nv_) add_incidence(face_cell(f), cell);  // Face-edge.
     }
   }
   // Face duals: the two sides of every edge.
@@ -306,15 +262,11 @@ void QueryEngine::BuildUniverse() {
       face_dual_[rf].push_back(lf);
     }
   }
-  for (auto& nbrs : face_dual_) {
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-  }
+  sort_unique(&face_dual_);
   // Extended adjacency: edge-shared neighbors plus corner-touching faces
   // (complement connectivity can route through a shared complement
   // vertex, so the face-level check needs vertex adjacency too).
-  face_adj_ext_.assign(nf_, {});
-  for (int f = 0; f < nf_; ++f) face_adj_ext_[f] = face_dual_[f];
+  face_adj_ext_ = face_dual_;
   // Vertex incident faces from darts (faces of darts and of their twins).
   for (int v = 0; v < nv_; ++v) {
     std::set<int> faces;
@@ -322,18 +274,18 @@ void QueryEngine::BuildUniverse() {
       faces.insert(complex_.darts()[d].face);
       faces.insert(complex_.darts()[complex_.darts()[d].twin].face);
     }
+    if (faces.empty()) {
+      return Status::Internal("vertex " + std::to_string(v) +
+                              " has no incident face");
+    }
     vertex_faces_[v].assign(faces.begin(), faces.end());
-    if (vertex_faces_[v].empty()) has_isolated_vertex_ = true;
     for (int a : vertex_faces_[v]) {
       for (int b : vertex_faces_[v]) {
         if (a != b) face_adj_ext_[a].push_back(b);
       }
     }
   }
-  for (auto& nbrs : face_adj_ext_) {
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-  }
+  sort_unique(&face_adj_ext_);
   if (nf_ <= 64) {
     face_dual_mask_.assign(nf_, 0);
     face_adj_ext_mask_.assign(nf_, 0);
@@ -345,228 +297,27 @@ void QueryEngine::BuildUniverse() {
     }
   }
   // Region values: cells with interior sign.
-  const int total_cells = total;
   for (size_t r = 0; r < complex_.region_names().size(); ++r) {
-    std::vector<char> value(total_cells, 0);
+    CellSet value(total);
     for (int v = 0; v < nv_; ++v) {
-      if (complex_.vertices()[v].label[r] == Sign::kInterior) value[v] = 1;
+      if (complex_.vertices()[v].label[r] == Sign::kInterior) value.Set(v);
     }
     for (int e = 0; e < ne_; ++e) {
       if (complex_.edges()[e].label[r] == Sign::kInterior) {
-        value[edge_cell(e)] = 1;
+        value.Set(edge_cell(e));
       }
     }
     for (int f = 0; f < nf_; ++f) {
       if (complex_.faces()[f].label[r] == Sign::kInterior) {
-        value[face_cell(f)] = 1;
+        value.Set(face_cell(f));
       }
     }
-    region_values_[complex_.region_names()[r]] = std::move(value);
+    const std::string& name = complex_.region_names()[r];
+    region_closure_bits_[name] = ClosureBits(value);
+    region_bits_[name] = std::move(value);
   }
-  // The bitset universe: per-cell closures including the cell itself, so
-  // the closure of any set is the word-parallel OR of its members'.
-  closure_bits_.assign(total, CellSet(total));
-  for (int c = 0; c < total; ++c) {
-    closure_bits_[c].Set(c);
-    for (int b : closure_[c]) closure_bits_[c].Set(b);
-  }
-  for (const auto& [name, value] : region_values_) {
-    CellSet bits = CellSet::FromCharVector(value);
-    region_closure_bits_[name] = ClosureBits(bits);
-    region_bits_[name] = std::move(bits);
-  }
-  caches_ = std::make_unique<QueryCaches>();
-}
-
-Result<std::vector<char>> QueryEngine::RegionValue(
-    const std::string& name) const {
-  auto it = region_values_.find(name);
-  if (it == region_values_.end()) {
-    return Status::NotFound("no region named " + name);
-  }
-  return it->second;
-}
-
-bool QueryEngine::IsDiscValue(const std::vector<char>& face_set,
-                              std::vector<char>* completed) const {
-  const int total = nv_ + ne_ + nf_;
-  std::vector<char>& s = *completed;
-  s.assign(total, 0);
-  bool any = false;
-  for (int f = 0; f < nf_; ++f) {
-    if (face_set[f]) {
-      s[nv_ + ne_ + f] = 1;
-      any = true;
-    }
-  }
-  if (!any) return false;
-  // Completion: edges with both sides in, vertices with everything in.
-  for (int e = 0; e < ne_; ++e) {
-    auto [lf, rf] = edge_faces_[e];
-    if (face_set[lf] && face_set[rf]) s[nv_ + e] = 1;
-  }
-  for (int v = 0; v < nv_; ++v) {
-    // A vertex with no incident darts (hence no incident faces) lies in
-    // the closure of no chosen face: it must be skipped, not vacuously
-    // completed into every candidate. The arrangement never emits such
-    // vertices today, but the rule is explicit so that can never change
-    // silently.
-    if (vertex_faces_[v].empty()) continue;
-    bool all = true;
-    for (int f : vertex_faces_[v]) {
-      if (!face_set[f]) {
-        all = false;
-        break;
-      }
-    }
-    if (!all) continue;
-    // All incident edges must be in too (they are: both their faces are).
-    s[v] = 1;
-  }
-  // Connectivity of S over the incidence graph.
-  {
-    int start = -1, count = 0;
-    for (int c = 0; c < total; ++c) {
-      if (s[c]) {
-        ++count;
-        start = c;
-      }
-    }
-    std::vector<char> seen(total, 0);
-    std::queue<int> queue;
-    seen[start] = 1;
-    queue.push(start);
-    int reached = 1;
-    while (!queue.empty()) {
-      int c = queue.front();
-      queue.pop();
-      for (int d : incidence_[c]) {
-        if (s[d] && !seen[d]) {
-          seen[d] = 1;
-          ++reached;
-          queue.push(d);
-        }
-      }
-    }
-    if (reached != count) return false;
-  }
-  // Sphere-complement connectivity: complement cells plus a point at
-  // infinity attached to the unbounded face.
-  {
-    const int infinity = total;
-    std::vector<char> seen(total + 1, 0);
-    std::queue<int> queue;
-    seen[infinity] = 1;
-    queue.push(infinity);
-    int complement = 1;
-    for (int c = 0; c < total; ++c) {
-      if (!s[c]) ++complement;
-    }
-    const int exterior_cell = nv_ + ne_ + complex_.exterior_face();
-    int reached = 1;
-    while (!queue.empty()) {
-      int c = queue.front();
-      queue.pop();
-      if (c == infinity) {
-        if (!s[exterior_cell] && !seen[exterior_cell]) {
-          seen[exterior_cell] = 1;
-          ++reached;
-          queue.push(exterior_cell);
-        }
-        continue;
-      }
-      for (int d : incidence_[c]) {
-        if (!s[d] && !seen[d]) {
-          seen[d] = 1;
-          ++reached;
-          queue.push(d);
-        }
-      }
-      if (c == exterior_cell && !seen[infinity]) {
-        seen[infinity] = 1;
-        ++reached;
-      }
-    }
-    if (reached != complement) return false;
-  }
-  return true;
-}
-
-bool QueryEngine::ComputeDiscValueBits(const CellSet& face_set,
-                                       CellSet* completed) const {
-  const int total = nv_ + ne_ + nf_;
-  completed->Assign(total);
-  if (!face_set.Any()) return false;
-  face_set.ForEachSetBit(
-      [&](int f) { completed->Set(nv_ + ne_ + f); });
-  for (int e = 0; e < ne_; ++e) {
-    auto [lf, rf] = edge_faces_[e];
-    if (face_set.Test(lf) && face_set.Test(rf)) completed->Set(nv_ + e);
-  }
-  for (int v = 0; v < nv_; ++v) {
-    if (vertex_faces_[v].empty()) continue;  // Same rule as IsDiscValue.
-    bool all = true;
-    for (int f : vertex_faces_[v]) {
-      if (!face_set.Test(f)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) completed->Set(v);
-  }
-  // Connectivity of the completion over the incidence graph.
-  {
-    const int count = completed->Count();
-    int start = -1;
-    for (int c = 0; c < total; ++c) {
-      if (completed->Test(c)) {
-        start = c;
-        break;
-      }
-    }
-    CellSet seen(total);
-    seen.Set(start);
-    std::vector<int> stack = {start};
-    int reached = 1;
-    while (!stack.empty()) {
-      const int c = stack.back();
-      stack.pop_back();
-      for (int d : incidence_[c]) {
-        if (completed->Test(d) && !seen.Test(d)) {
-          seen.Set(d);
-          ++reached;
-          stack.push_back(d);
-        }
-      }
-    }
-    if (reached != count) return false;
-  }
-  // Sphere-complement connectivity (complement + point at infinity).
-  {
-    const int exterior_cell = nv_ + ne_ + complex_.exterior_face();
-    const int complement = total - completed->Count() + 1;
-    CellSet seen(total);
-    std::vector<int> stack;
-    int reached = 1;  // The point at infinity.
-    if (!completed->Test(exterior_cell)) {
-      seen.Set(exterior_cell);
-      ++reached;
-      stack.push_back(exterior_cell);
-    }
-    while (!stack.empty()) {
-      const int c = stack.back();
-      stack.pop_back();
-      for (int d : incidence_[c]) {
-        if (!completed->Test(d) && !seen.Test(d)) {
-          seen.Set(d);
-          ++reached;
-          stack.push_back(d);
-        }
-      }
-    }
-    if (reached != complement) return false;
-  }
-  return true;
+  range_ = std::make_unique<DiscRange>();
+  return Status::OK();
 }
 
 bool QueryEngine::FaceSetIsDisc(const CellSet& face_set) const {
@@ -676,60 +427,32 @@ void QueryEngine::CompleteFaceSet(const CellSet& face_set,
     auto [lf, rf] = edge_faces_[e];
     if (face_set.Test(lf) && face_set.Test(rf)) completed->Set(nv_ + e);
   }
+  // Every vertex has an incident face (BuildUniverse), so this never
+  // completes a vertex vacuously.
   for (int v = 0; v < nv_; ++v) {
-    if (vertex_faces_[v].empty()) continue;
-    bool all = true;
-    for (int f : vertex_faces_[v]) {
-      if (!face_set.Test(f)) {
-        all = false;
-        break;
-      }
+    const std::vector<int>& faces = vertex_faces_[v];
+    if (std::all_of(faces.begin(), faces.end(),
+                    [&](int f) { return face_set.Test(f); })) {
+      completed->Set(v);
     }
-    if (all) completed->Set(v);
   }
 }
 
 bool QueryEngine::IsDiscValue(const CellSet& face_set,
                               CellSet* completed) const {
-  const uint64_t hash = face_set.Hash();
-  {
-    std::lock_guard<std::mutex> lock(caches_->memo_mu);
-    auto it = caches_->memo.find(hash);
-    if (it != caches_->memo.end()) {
-      for (const QueryCaches::MemoEntry& entry : it->second) {
-        if (entry.faces == face_set) {
-          ++caches_->memo_hits;
-          *completed = entry.completed;
-          return entry.is_disc;
-        }
-      }
-    }
+  if (FaceSetIsDisc(face_set)) {
+    CompleteFaceSet(face_set, completed);
+    return true;
   }
-  bool is_disc;
-  if (has_isolated_vertex_) {
-    // Degenerate complexes fall back to the exact cell-level check.
-    is_disc = ComputeDiscValueBits(face_set, completed);
-  } else {
-    is_disc = FaceSetIsDisc(face_set);
-    completed->Assign(nv_ + ne_ + nf_);
-    if (is_disc) CompleteFaceSet(face_set, completed);
-  }
-  std::lock_guard<std::mutex> lock(caches_->memo_mu);
-  ++caches_->memo_misses;
-  caches_->memo[hash].push_back({face_set, is_disc, *completed});
-  return is_disc;
+  completed->Assign(nv_ + ne_ + nf_);
+  return false;
 }
 
 QueryEngine::CacheStats QueryEngine::cache_stats() const {
+  std::lock_guard<std::mutex> lock(range_->mu);
   CacheStats stats;
-  {
-    std::lock_guard<std::mutex> lock(caches_->memo_mu);
-    stats.disc_memo_hits = caches_->memo_hits;
-    stats.disc_memo_misses = caches_->memo_misses;
-  }
-  std::lock_guard<std::mutex> lock(caches_->range_mu);
-  stats.materialized_discs = static_cast<int64_t>(caches_->values.size());
-  stats.raw_candidates = caches_->raw_total;
+  stats.materialized_discs = static_cast<int64_t>(range_->values.size());
+  stats.raw_candidates = range_->raw_total;
   return stats;
 }
 
@@ -741,350 +464,57 @@ CellSet QueryEngine::ClosureBits(const CellSet& cells) const {
 
 Result<const QueryEngine::DiscValue*> QueryEngine::FetchDiscValue(
     int64_t k, int64_t max_steps, const StopSignal& stop) const {
-  QueryCaches& caches = *caches_;
+  DiscRange& range = *range_;
   const bool stop_armed = stop.armed();
-  std::lock_guard<std::mutex> lock(caches.range_mu);
-  while (static_cast<int64_t>(caches.values.size()) <= k &&
-         !caches.exhausted) {
-    // The next raw candidate would be number raw_total + 1; the baseline
-    // enumeration errors when its per-instantiation counter exceeds
+  std::lock_guard<std::mutex> lock(range.mu);
+  while (static_cast<int64_t>(range.values.size()) <= k && !range.exhausted) {
+    // The next raw candidate would be number raw_total + 1; a fresh
+    // enumeration per quantifier errors when its counter exceeds
     // max_steps, and every instantiation replays the same prefix of the
     // same sequence, so the global counter is exactly its counter.
-    if (caches.raw_total >= max_steps) return StepsExhaustedError(max_steps);
+    if (range.raw_total >= max_steps) return StepsExhaustedError(max_steps);
     // Cancellation checkpoint: range extension is the unbounded part of a
     // region quantifier, so poll here (cheaply, once per ~1k candidates).
-    if (stop_armed && (caches.raw_total & 1023) == 0 && stop.ShouldStop()) {
+    if (stop_armed && (range.raw_total & 1023) == 0 && stop.ShouldStop()) {
       return stop.Check();
     }
-    if (caches.raw == nullptr) {
-      caches.raw = std::make_unique<RawCandidateEnumerator>(face_dual_);
+    if (range.raw == nullptr) {
+      range.raw = std::make_unique<RawCandidateEnumerator>(face_dual_);
     }
-    if (!caches.raw->Next()) {
-      caches.exhausted = true;
+    if (!range.raw->Next()) {
+      range.exhausted = true;
       break;
     }
-    ++caches.raw_total;
+    ++range.raw_total;
     // Each raw candidate is produced exactly once across the engine's
-    // lifetime (canonical-root enumeration), so the disc check runs
-    // directly — the materialized range, not the per-face-set memo, is
-    // the reuse layer here — and the completion is only materialized for
-    // candidates that are discs.
-    const CellSet& faces = caches.raw->mask();
-    bool is_disc;
-    CellSet completed;
-    if (has_isolated_vertex_) {
-      is_disc = ComputeDiscValueBits(faces, &completed);
-    } else {
-      is_disc = FaceSetIsDisc(faces);
-      if (is_disc) CompleteFaceSet(faces, &completed);
-    }
-    if (is_disc) {
-      DiscValue value;
-      // The closure of a completion is the union of its chosen faces'
-      // precomputed closures: completed edges/vertices lie inside those
-      // closures already, and an edge's closure (its endpoints) inside
-      // its faces'.
-      value.closure = completed;
-      faces.ForEachSetBit(
-          [&](int f) { value.closure |= closure_bits_[nv_ + ne_ + f]; });
-      value.cells = std::move(completed);
-      value.raw_index = caches.raw_total;
-      caches.values.push_back(std::move(value));
-    }
+    // lifetime (canonical-root enumeration), so the completion is only
+    // materialized for candidates that are discs.
+    const CellSet& faces = range.raw->mask();
+    if (!FaceSetIsDisc(faces)) continue;
+    DiscValue value;
+    CompleteFaceSet(faces, &value.cells);
+    // The closure of a completion is the union of its chosen faces'
+    // precomputed closures: completed edges/vertices lie inside those
+    // closures already, and an edge's closure (its endpoints) inside its
+    // faces'.
+    value.closure = value.cells;
+    faces.ForEachSetBit(
+        [&](int f) { value.closure |= closure_bits_[nv_ + ne_ + f]; });
+    value.raw_index = range.raw_total;
+    range.values.push_back(std::move(value));
   }
-  if (static_cast<int64_t>(caches.values.size()) > k) {
-    const DiscValue& value = caches.values[k];
+  if (static_cast<int64_t>(range.values.size()) > k) {
+    const DiscValue& value = range.values[k];
     // Cached from a run with a larger step limit; this caller's fresh
     // enumeration would have errored before producing it.
     if (value.raw_index > max_steps) return StepsExhaustedError(max_steps);
     return &value;
   }
-  if (caches.raw_total > max_steps) return StepsExhaustedError(max_steps);
+  if (range.raw_total > max_steps) return StepsExhaustedError(max_steps);
   return static_cast<const DiscValue*>(nullptr);
 }
 
-// --- Baseline evaluation (byte-per-cell reference semantics) ---
-
-class BaselineEvaluator {
- public:
-  struct Env {
-    std::map<std::string, std::vector<char>> cells;  // Region/cell vars.
-    std::map<std::string, std::string> names;        // Name variables.
-  };
-
-  BaselineEvaluator(const QueryEngine& engine, const EvalOptions& options)
-      : engine_(engine),
-        budget_(options.max_region_candidates),
-        budget_limit_(options.max_region_candidates),
-        max_steps_(options.max_enumeration_steps),
-        stop_(options.deadline, options.cancel),
-        stop_armed_(stop_.armed()) {}
-
-  // Work tallies, flushed to EvalOptions::metrics by the caller (plain
-  // locals here so the hot path never touches shared state).
-  uint64_t atoms() const { return atoms_; }
-  uint64_t bindings() const { return bindings_; }
-
-  Result<bool> Eval(const FormulaPtr& formula, Env* env) {
-    switch (formula->kind) {
-      case Formula::Kind::kTrue: return true;
-      case Formula::Kind::kFalse: return false;
-      case Formula::Kind::kAtom: return EvalAtom(*formula, env);
-      case Formula::Kind::kNameEq: {
-        TOPODB_ASSIGN_OR_RETURN(std::string a, NameOf(formula->lhs, env));
-        TOPODB_ASSIGN_OR_RETURN(std::string b, NameOf(formula->rhs, env));
-        return a == b;
-      }
-      case Formula::Kind::kNot: {
-        TOPODB_ASSIGN_OR_RETURN(bool v, Eval(formula->left, env));
-        return !v;
-      }
-      case Formula::Kind::kAnd: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        if (!a) return false;
-        return Eval(formula->right, env);
-      }
-      case Formula::Kind::kOr: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        if (a) return true;
-        return Eval(formula->right, env);
-      }
-      case Formula::Kind::kImplies: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        if (!a) return true;
-        return Eval(formula->right, env);
-      }
-      case Formula::Kind::kIff: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        TOPODB_ASSIGN_OR_RETURN(bool b, Eval(formula->right, env));
-        return a == b;
-      }
-      case Formula::Kind::kExists:
-      case Formula::Kind::kForall:
-        return EvalQuantifier(*formula, env);
-    }
-    TOPODB_UNREACHABLE();
-  }
-
- private:
-  Result<std::string> NameOf(const Term& term, Env* env) {
-    if (term.kind == Term::Kind::kNameConstant) return term.text;
-    auto it = env->names.find(term.text);
-    if (it == env->names.end()) {
-      return Status::InvalidArgument("'" + term.text +
-                                     "' is not a name in this context");
-    }
-    return it->second;
-  }
-
-  Result<std::vector<char>> ValueOf(const Term& term, Env* env) {
-    if (term.kind == Term::Kind::kVariable) {
-      auto cell_it = env->cells.find(term.text);
-      if (cell_it != env->cells.end()) return cell_it->second;
-      auto name_it = env->names.find(term.text);
-      if (name_it != env->names.end()) {
-        return engine_.RegionValue(name_it->second);
-      }
-      return Status::InvalidArgument("unbound variable " + term.text);
-    }
-    return engine_.RegionValue(term.text);
-  }
-
-  std::vector<char> Closure(const std::vector<char>& s) const {
-    std::vector<char> out = s;
-    for (size_t c = 0; c < s.size(); ++c) {
-      if (!s[c]) continue;
-      for (int b : engine_.closure_[c]) out[b] = 1;
-    }
-    return out;
-  }
-
-  Result<bool> EvalAtom(const Formula& atom, Env* env) {
-    ++atoms_;
-    TOPODB_ASSIGN_OR_RETURN(std::vector<char> s, ValueOf(atom.lhs, env));
-    TOPODB_ASSIGN_OR_RETURN(std::vector<char> t, ValueOf(atom.rhs, env));
-    const std::vector<char> cs = Closure(s);
-    const std::vector<char> ct = Closure(t);
-    auto boundary = [](const std::vector<char>& closure,
-                       const std::vector<char>& interior) {
-      std::vector<char> b = closure;
-      for (size_t i = 0; i < b.size(); ++i) {
-        if (interior[i]) b[i] = 0;
-      }
-      return b;
-    };
-    switch (atom.predicate) {
-      case Predicate::kConnect: return AnyCommon(cs, ct);
-      case Predicate::kDisjoint: return !AnyCommon(cs, ct);
-      case Predicate::kIntersects: return AnyCommon(s, t);
-      case Predicate::kSubset: return SubsetOf(s, t);
-      case Predicate::kBoundaryPart: return SubsetOf(s, boundary(ct, t));
-      case Predicate::kEqual: return s == t;
-      case Predicate::kOverlap:
-        return AnyCommon(s, t) && !SubsetOf(s, t) && !SubsetOf(t, s);
-      case Predicate::kMeet:
-        return AnyCommon(cs, ct) && !AnyCommon(s, t);
-      case Predicate::kInside:
-        return s != t && SubsetOf(s, t) &&
-               !AnyCommon(boundary(cs, s), boundary(ct, t));
-      case Predicate::kContains:
-        return s != t && SubsetOf(t, s) &&
-               !AnyCommon(boundary(cs, s), boundary(ct, t));
-      case Predicate::kCovers:
-        return s != t && SubsetOf(t, s) &&
-               AnyCommon(boundary(cs, s), boundary(ct, t));
-      case Predicate::kCoveredBy:
-        return s != t && SubsetOf(s, t) &&
-               AnyCommon(boundary(cs, s), boundary(ct, t));
-    }
-    TOPODB_UNREACHABLE();
-  }
-
-  Result<bool> EvalQuantifier(const Formula& formula, Env* env) {
-    const bool exists = formula.kind == Formula::Kind::kExists;
-    switch (formula.var_kind) {
-      case Formula::VarKind::kName: {
-        for (const std::string& name : engine_.complex_.region_names()) {
-          if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
-          ++bindings_;
-          env->names[formula.var] = name;
-          Result<bool> v = Eval(formula.body, env);
-          env->names.erase(formula.var);
-          TOPODB_ASSIGN_OR_RETURN(bool value, std::move(v));
-          if (value == exists) return exists;
-        }
-        return !exists;
-      }
-      case Formula::VarKind::kCell: {
-        const size_t total = engine_.num_cells();
-        for (size_t c = 0; c < total; ++c) {
-          if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
-          ++bindings_;
-          std::vector<char> value(total, 0);
-          value[c] = 1;
-          env->cells[formula.var] = std::move(value);
-          Result<bool> v = Eval(formula.body, env);
-          env->cells.erase(formula.var);
-          TOPODB_ASSIGN_OR_RETURN(bool result, std::move(v));
-          if (result == exists) return exists;
-        }
-        return !exists;
-      }
-      case Formula::VarKind::kRegion:
-        return EvalRegionQuantifier(exists, formula, env);
-      case Formula::VarKind::kRect:
-        return Status::Unsupported(
-            "rect quantifiers are evaluated by RectQueryEngine");
-    }
-    TOPODB_UNREACHABLE();
-  }
-
-  // Enumerates completions of dual-connected face sets that are discs;
-  // each connected set is produced exactly once (enumeration by canonical
-  // root + forbidden set). The budget is charged per *disc* value, after
-  // the disc check, so exhaustion points depend only on the instance's
-  // topology (see EvalOptions::max_region_candidates); the raw step guard
-  // bounds the work spent between discs.
-  Result<bool> EvalRegionQuantifier(bool exists, const Formula& formula,
-                                    Env* env) {
-    const int nf = engine_.nf_;
-    std::vector<char> chosen(nf, 0);
-    std::vector<char> banned(nf, 0);
-    std::optional<bool> verdict;
-    Status error = Status::OK();
-    int64_t raw_steps = 0;  // Per-instantiation enumeration counter.
-
-    // Returns true to stop the whole enumeration.
-    std::function<bool()> process = [&]() {
-      if (++raw_steps > max_steps_) {
-        error = StepsExhaustedError(max_steps_);
-        return true;
-      }
-      // Cancellation checkpoint, once per ~1k raw candidates — the stretch
-      // between disc values is the only unbounded work in this loop.
-      if (stop_armed_ && (raw_steps & 1023) == 0 && stop_.ShouldStop()) {
-        error = stop_.Check();
-        return true;
-      }
-      std::vector<char> completed;
-      if (!engine_.IsDiscValue(chosen, &completed)) return false;
-      if (--budget_ < 0) {
-        error = BudgetExhaustedError(budget_limit_);
-        return true;
-      }
-      if (stop_armed_ && stop_.ShouldStop()) {
-        error = stop_.Check();
-        return true;
-      }
-      ++bindings_;
-      env->cells[formula.var] = std::move(completed);
-      Result<bool> v = Eval(formula.body, env);
-      env->cells.erase(formula.var);
-      if (!v.ok()) {
-        error = v.status();
-        return true;
-      }
-      if (*v == exists) {
-        verdict = exists;
-        return true;
-      }
-      return false;
-    };
-
-    std::function<bool()> spawn = [&]() -> bool {
-      if (process()) return true;
-      // Frontier: faces adjacent to the chosen set, not banned.
-      std::vector<int> frontier;
-      for (int f = 0; f < nf; ++f) {
-        if (!chosen[f]) continue;
-        for (int g : engine_.face_dual_[f]) {
-          if (!chosen[g] && !banned[g]) frontier.push_back(g);
-        }
-      }
-      std::sort(frontier.begin(), frontier.end());
-      frontier.erase(std::unique(frontier.begin(), frontier.end()),
-                     frontier.end());
-      std::vector<int> added_bans;
-      bool stop = false;
-      for (int g : frontier) {
-        if (banned[g]) continue;  // Banned by an earlier sibling.
-        chosen[g] = 1;
-        stop = spawn();
-        chosen[g] = 0;
-        if (stop) break;
-        banned[g] = 1;
-        added_bans.push_back(g);
-      }
-      for (int g : added_bans) banned[g] = 0;
-      return stop;
-    };
-
-    for (int root = 0; root < nf && !verdict.has_value() && error.ok();
-         ++root) {
-      std::fill(chosen.begin(), chosen.end(), 0);
-      std::fill(banned.begin(), banned.end(), 0);
-      for (int f = 0; f < root; ++f) banned[f] = 1;
-      chosen[root] = 1;
-      if (spawn()) break;
-    }
-    TOPODB_RETURN_NOT_OK(error);
-    if (verdict.has_value()) return *verdict;
-    return !exists;
-  }
-
-  const QueryEngine& engine_;
-  int64_t budget_;
-  const int64_t budget_limit_;
-  const int64_t max_steps_;
-  const StopSignal stop_;
-  // Hoisted stop_.armed(): the common un-deadlined evaluation pays one
-  // constant-member test per checkpoint instead of re-deriving armedness.
-  const bool stop_armed_;
-  uint64_t atoms_ = 0;
-  uint64_t bindings_ = 0;
-};
-
-// --- Bitset evaluation (packed words, shared memoized quantifier range) ---
+// --- Evaluation (packed words, shared materialized quantifier range) ---
 
 class BitsetEvaluator {
  public:
@@ -1322,199 +752,14 @@ class BitsetEvaluator {
   uint64_t bindings_ = 0;
 };
 
-// --- Parallel fan-out of the outermost quantifier ---
-
-Result<bool> QueryEngine::EvaluateParallel(const FormulaPtr& query,
-                                           const EvalOptions& options) const {
-  const Formula& formula = *query;
-  const bool exists = formula.kind == Formula::Kind::kExists;
-
-  // Materialize the binding list. For region quantifiers at most
-  // max_region_candidates disc values are relevant: a sequential sweep
-  // consuming more would exhaust the budget anyway.
-  const StopSignal stop(options.deadline, options.cancel);
-  std::vector<const DiscValue*> discs;
-  Status deferred;  // Enumeration error, reported only if no witness wins.
-  bool range_over_budget = false;
-  int64_t num_bindings = 0;
-  switch (formula.var_kind) {
-    case Formula::VarKind::kName:
-      num_bindings = static_cast<int64_t>(complex_.region_names().size());
-      break;
-    case Formula::VarKind::kCell:
-      num_bindings = static_cast<int64_t>(num_cells());
-      break;
-    case Formula::VarKind::kRegion: {
-      for (int64_t k = 0; k <= options.max_region_candidates; ++k) {
-        Result<const DiscValue*> value =
-            FetchDiscValue(k, options.max_enumeration_steps, stop);
-        if (!value.ok()) {
-          deferred = value.status();
-          break;
-        }
-        if (*value == nullptr) break;
-        if (k == options.max_region_candidates) {
-          range_over_budget = true;  // More discs than the budget allows.
-          break;
-        }
-        discs.push_back(*value);
-      }
-      num_bindings = static_cast<int64_t>(discs.size());
-      break;
-    }
-    case Formula::VarKind::kRect:
-      return Status::Unsupported(
-          "rect quantifiers are evaluated by RectQueryEngine");
-  }
-
-  // num_threads was validated at the Evaluate entry point, so resolution
-  // cannot fail here.
-  const int workers = static_cast<int>(
-      *ResolveWorkerCount(options.num_threads,
-                          static_cast<size_t>(std::min<int64_t>(
-                              num_bindings, std::numeric_limits<int>::max()))));
-  std::vector<std::optional<Result<bool>>> outcomes(
-      static_cast<size_t>(num_bindings));
-  std::atomic<int64_t> next{0};
-  std::atomic<bool> stop_flag{false};
-
-  Counter* atoms_counter = RegistryCounter(options.metrics, "query.atoms");
-  Counter* bindings_counter =
-      RegistryCounter(options.metrics, "query.bindings");
-
-  auto eval_binding = [&](int64_t i) -> Result<bool> {
-    if (options.strategy == EvalStrategy::kBaseline) {
-      BaselineEvaluator evaluator(*this, options);
-      BaselineEvaluator::Env env;
-      switch (formula.var_kind) {
-        case Formula::VarKind::kName:
-          env.names[formula.var] = complex_.region_names()[i];
-          break;
-        case Formula::VarKind::kCell: {
-          std::vector<char> value(num_cells(), 0);
-          value[i] = 1;
-          env.cells[formula.var] = std::move(value);
-          break;
-        }
-        case Formula::VarKind::kRegion:
-          env.cells[formula.var] = discs[i]->cells.ToCharVector();
-          break;
-        case Formula::VarKind::kRect: break;  // Unreachable.
-      }
-      Result<bool> v = evaluator.Eval(formula.body, &env);
-      CounterAdd(atoms_counter, evaluator.atoms());
-      CounterAdd(bindings_counter, evaluator.bindings());
-      return v;
-    }
-    BitsetEvaluator evaluator(*this, options);
-    BitsetEvaluator::Env env;
-    switch (formula.var_kind) {
-      case Formula::VarKind::kName:
-        env.names[formula.var] = complex_.region_names()[i];
-        break;
-      case Formula::VarKind::kCell: {
-        BitsetEvaluator::Binding binding;
-        binding.value = CellSet(static_cast<int>(num_cells()));
-        binding.value.Set(static_cast<int>(i));
-        binding.closure = closure_bits_[i];
-        env.cells[formula.var] = std::move(binding);
-        break;
-      }
-      case Formula::VarKind::kRegion:
-        env.cells[formula.var] =
-            BitsetEvaluator::Binding{discs[i]->cells, discs[i]->closure};
-        break;
-      case Formula::VarKind::kRect: break;  // Unreachable.
-    }
-    Result<bool> v = evaluator.Eval(formula.body, &env);
-    CounterAdd(atoms_counter, evaluator.atoms());
-    CounterAdd(bindings_counter, evaluator.bindings());
-    return v;
-  };
-
-  auto worker = [&]() {
-    while (!stop_flag.load(std::memory_order_relaxed)) {
-      const int64_t i = next.fetch_add(1);
-      if (i >= num_bindings) return;
-      // Cancellation checkpoint per claimed outer binding: remaining
-      // bindings fail fast once the deadline has passed, and the
-      // deterministic scan below reports the earliest stopped binding —
-      // the same point a sequential sweep would have reached.
-      const Status stopped = stop.Check();
-      Result<bool> v = Result<bool>(false);
-      if (stopped.ok()) {
-        CounterAdd(bindings_counter, 1);
-        v = eval_binding(i);
-      } else {
-        v = stopped;
-      }
-      const bool decisive = !v.ok() || *v == exists;
-      outcomes[i] = std::move(v);
-      // First witness (or error) wins: later bindings stop being claimed,
-      // already claimed ones still finish, so every binding before the
-      // winner has an outcome when we scan below.
-      if (decisive) stop_flag.store(true, std::memory_order_relaxed);
-    }
-  };
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (int t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // Deterministic resolution: scan bindings in order; the first error or
-  // witness decides, exactly like the sequential loop.
-  for (int64_t i = 0; i < num_bindings; ++i) {
-    if (!outcomes[i].has_value()) continue;  // Skipped after a winner.
-    Result<bool>& v = *outcomes[i];
-    if (!v.ok()) return v.status();
-    if (*v == exists) return exists;
-  }
-  if (!deferred.ok()) return deferred;
-  if (range_over_budget) {
-    return BudgetExhaustedError(options.max_region_candidates);
-  }
-  return !exists;
-}
-
 // --- Entry points ---
-
-Result<bool> QueryEngine::EvaluateDispatch(const FormulaPtr& query,
-                                           const EvalOptions& options) const {
-  if (options.num_threads > 1 &&
-      (query->kind == Formula::Kind::kExists ||
-       query->kind == Formula::Kind::kForall) &&
-      query->var_kind != Formula::VarKind::kRect) {
-    return EvaluateParallel(query, options);
-  }
-  Counter* atoms_counter = RegistryCounter(options.metrics, "query.atoms");
-  Counter* bindings_counter =
-      RegistryCounter(options.metrics, "query.bindings");
-  if (options.strategy == EvalStrategy::kBaseline) {
-    BaselineEvaluator evaluator(*this, options);
-    BaselineEvaluator::Env env;
-    Result<bool> result = evaluator.Eval(query, &env);
-    CounterAdd(atoms_counter, evaluator.atoms());
-    CounterAdd(bindings_counter, evaluator.bindings());
-    return result;
-  }
-  BitsetEvaluator evaluator(*this, options);
-  BitsetEvaluator::Env env;
-  Result<bool> result = evaluator.Eval(query, &env);
-  CounterAdd(atoms_counter, evaluator.atoms());
-  CounterAdd(bindings_counter, evaluator.bindings());
-  return result;
-}
 
 Status QueryEngine::ValidateAtomNames(const Formula& query) const {
   switch (query.kind) {
     case Formula::Kind::kAtom:
       for (const Term* term : {&query.lhs, &query.rhs}) {
         if (term->kind == Term::Kind::kNameConstant &&
-            region_values_.find(term->text) == region_values_.end()) {
+            region_bits_.find(term->text) == region_bits_.end()) {
           return Status::NotFound("no region named " + term->text);
         }
       }
@@ -1539,7 +784,7 @@ Status QueryEngine::ValidateAtomNames(const Formula& query) const {
 
 SelectivityStats QueryEngine::planner_stats() const {
   SelectivityStats stats;
-  stats.num_names = static_cast<int64_t>(region_values_.size());
+  stats.num_names = static_cast<int64_t>(region_bits_.size());
   stats.num_cells = static_cast<int64_t>(num_cells());
   stats.num_faces = nf_;
   stats.materialized_discs = cache_stats().materialized_discs;
@@ -1548,29 +793,32 @@ SelectivityStats QueryEngine::planner_stats() const {
 
 Result<bool> QueryEngine::EvaluatePlanned(const FormulaPtr& query,
                                           const EvalOptions& options) const {
-  if (!options.plan) return EvaluateDispatch(query, options);
-  // Validate against the *input* query: canonicalization may simplify an
-  // unknown-name atom away entirely (phi and false -> false), and
-  // reordering may move it behind a short circuit; failing up front
-  // keeps "does this query error?" independent of the plan chosen.
-  TOPODB_RETURN_NOT_OK(ValidateAtomNames(*query));
-  FormulaPtr planned;
-  {
-    ScopedTimer plan_timer(
-        RegistryHistogram(options.metrics, "planner.plan_us"));
-    planned = PlanQuery(query, planner_stats(), options.metrics);
+  FormulaPtr planned = query;
+  if (options.plan) {
+    // Validate against the *input* query: canonicalization may simplify
+    // an unknown-name atom away entirely (phi and false -> false), and
+    // reordering may move it behind a short circuit; failing up front
+    // keeps "does this query error?" independent of the plan chosen.
+    TOPODB_RETURN_NOT_OK(ValidateAtomNames(*query));
+    {
+      ScopedTimer plan_timer(
+          RegistryHistogram(options.metrics, "planner.plan_us"));
+      planned = PlanQuery(query, planner_stats(), options.metrics);
+    }
+    CounterAdd(RegistryCounter(options.metrics, "planner.plans"));
   }
-  CounterAdd(RegistryCounter(options.metrics, "planner.plans"));
-  return EvaluateDispatch(planned, options);
+  BitsetEvaluator evaluator(*this, options);
+  BitsetEvaluator::Env env;
+  Result<bool> result = evaluator.Eval(planned, &env);
+  CounterAdd(RegistryCounter(options.metrics, "query.atoms"),
+             evaluator.atoms());
+  CounterAdd(RegistryCounter(options.metrics, "query.bindings"),
+             evaluator.bindings());
+  return result;
 }
 
 Result<bool> QueryEngine::Evaluate(const FormulaPtr& query,
                                    const EvalOptions& options) const {
-  if (options.num_threads < 0) {
-    return Status::InvalidArgument(
-        "EvalOptions::num_threads must be >= 0 (0 or 1 = serial); got " +
-        std::to_string(options.num_threads));
-  }
   // Entry checkpoint: an already-expired deadline rejects the evaluation
   // before any work, whatever the query's shape. With metrics enabled the
   // rejection still counts as an evaluation (and a deadline_exceeded).
@@ -1591,13 +839,9 @@ Result<bool> QueryEngine::Evaluate(const FormulaPtr& query,
       result.status().code() == StatusCode::kDeadlineExceeded) {
     options.metrics->counter("query.deadline_exceeded")->Add(1);
   }
-  // Engine-cumulative shared-cache state, exported as gauges (Set, not
-  // Add: many evaluations share these caches).
+  // Engine-cumulative range state, exported as gauges (Set, not Add:
+  // many evaluations share the range).
   const CacheStats stats = cache_stats();
-  options.metrics->gauge("query.disc_memo_hits")
-      ->Set(static_cast<int64_t>(stats.disc_memo_hits));
-  options.metrics->gauge("query.disc_memo_misses")
-      ->Set(static_cast<int64_t>(stats.disc_memo_misses));
   options.metrics->gauge("query.range_discs")->Set(stats.materialized_discs);
   options.metrics->gauge("query.range_raw_candidates")
       ->Set(stats.raw_candidates);

@@ -27,22 +27,6 @@ namespace topodb {
 // pipeline dependency.
 class SemanticCache;
 
-// Which evaluator answers a query. Both produce identical verdicts and
-// identical error points (the differential property suite asserts this);
-// they differ only in running time.
-enum class EvalStrategy {
-  // Packed-word cell sets (cellset.h): closures precomputed per cell,
-  // atoms evaluated by word-parallel bit operations, disc checks memoized
-  // per face-set hash, and the region-quantifier range materialized once
-  // per engine and shared across bindings, evaluations and batches. The
-  // default.
-  kBitset,
-  // The byte-per-cell reference evaluator: per-atom closure recomputation
-  // and a fresh unmemoized disc-union enumeration per quantifier binding.
-  // Kept selectable so correctness of every optimization is testable.
-  kBaseline,
-};
-
 struct EvalOptions {
   // Budget of legitimate region values (open-disc candidates) consumed
   // across all region quantifiers of one evaluation. The Section-7
@@ -58,22 +42,10 @@ struct EvalOptions {
   // instantiation (disc values are typically dense among connected sets,
   // but a pathological instance could interleave exponentially many
   // non-disc candidates between discs, which max_region_candidates alone
-  // would not bound). Both evaluators charge this identically, so verdicts
-  // stay aligned.
+  // would not bound). The count is of raw candidates in enumeration
+  // order, so the exhaustion point too is fixed by the instance and the
+  // limit alone.
   int64_t max_enumeration_steps = int64_t{1} << 22;
-  // Evaluator selection; see EvalStrategy.
-  EvalStrategy strategy = EvalStrategy::kBitset;
-  // When > 1 and the query's outermost connective is a name/cell/region
-  // quantifier, its bindings are fanned across this many threads; the
-  // first witness (exists) or counterexample (forall) wins via an atomic
-  // flag. Bindings are independent, so this is safe; each binding's
-  // subtree gets its own max_region_candidates budget (the shared global
-  // budget of the sequential evaluator cannot be split deterministically
-  // across racing workers). Verdicts match the sequential evaluator on
-  // every evaluation that does not exhaust a budget. Negative values are
-  // rejected with InvalidArgument (see ResolveWorkerCount in
-  // src/base/threading.h).
-  int num_threads = 1;
   // Wall-clock bound for this evaluation, polled at entry, at every
   // quantifier binding, and every ~1k raw candidates inside the
   // region-quantifier enumeration; expiry returns DeadlineExceeded.
@@ -83,7 +55,7 @@ struct EvalOptions {
   // checkpoints; cancellation also returns DeadlineExceeded.
   const CancelToken* cancel = nullptr;
   // Optional sink for evaluation metrics (atoms evaluated, quantifier
-  // bindings explored, disc-check memo traffic, per-query latency).
+  // bindings explored, size of the shared range, per-query latency).
   // nullptr disables collection at near-zero cost.
   MetricsRegistry* metrics = nullptr;
   // Run the planning pass (src/query/plan.h) before evaluation:
@@ -121,10 +93,15 @@ struct EvalOptions {
 //   - atoms are connect and the 4-intersection relationships, evaluated
 //     exactly on cell sets.
 //
-// Evaluate is const and thread-safe: the bitset evaluator's shared caches
-// (the memoized disc checks and the materialized region-quantifier range)
-// are internally synchronized, so one engine can serve many concurrent
-// evaluations (see pipeline/query_batch.h).
+// There is one evaluator: cell sets are packed words (cellset.h), closures
+// are precomputed per cell, and the region-quantifier range is
+// materialized once per engine and shared by every binding and
+// evaluation. The byte-per-cell reference semantics it is held to lives
+// in tests/reference_eval.h.
+//
+// Evaluate is const and thread-safe: the materialized range is internally
+// synchronized, so one engine can serve many concurrent evaluations (the
+// server's workers share engines through EngineCache).
 class QueryEngine {
  public:
   // Builds the cell complex of the instance once; queries evaluate on it.
@@ -143,43 +120,23 @@ class QueryEngine {
   const CellComplex& complex() const { return complex_; }
 
   // Number of cells in the universe (vertices + edges + faces).
-  size_t num_cells() const { return closure_.size(); }
+  size_t num_cells() const { return closure_bits_.size(); }
 
-  // The cell set denoting ext(name); empty Result if unknown name.
-  Result<std::vector<char>> RegionValue(const std::string& name) const;
-
-  // True iff the completion of the face set is an open disc (used by the
-  // quantifier range; exposed for tests and benches). This is the
-  // unmemoized reference implementation the baseline evaluator uses; the
-  // bitset evaluator's memoized CellSet twin is asserted equivalent by the
-  // differential property suite.
-  //
-  // Completion rule, explicitly: a vertex joins the completion iff it has
-  // at least one incident face and all of its incident faces are chosen.
-  // The arrangement never emits dart-less vertices (every vertex is an
-  // endpoint of at least one overlay edge), but a hypothetical isolated
-  // vertex must be *skipped*, not vacuously included: it lies in the
-  // closure of no chosen face, so completing it into every candidate
-  // would silently poison connectivity.
-  bool IsDiscValue(const std::vector<char>& face_set,
-                   std::vector<char>* completed) const;
-
-  // CellSet twin of the above, memoized per face-set hash (full-key
-  // equality confirms hits): repeated checks of the same face set — from
-  // any thread — pay the topology BFS once. On a miss it runs the
-  // face-level fast check when the complex has no dart-less vertex, the
-  // exact cell-level check otherwise; the differential property suite
-  // asserts agreement with the reference overload. On a non-disc result
-  // *completed is empty.
+  // True iff the completion of the face set is an open disc: the check
+  // FetchDiscValue runs on every candidate of the region-quantifier
+  // range, exposed for tests. `face_set` is indexed by face (size
+  // complex().faces().size()). On a disc, *completed is the completion:
+  // the chosen faces, every edge with both sides chosen, and every vertex
+  // whose incident faces are all chosen. It has num_cells() bits, laid out
+  // [0, nv) vertices, [nv, nv+ne) edges, [nv+ne, nv+ne+nf) faces, each
+  // block in complex() order. On a non-disc it is empty.
   bool IsDiscValue(const CellSet& face_set, CellSet* completed) const;
 
-  // Cumulative shared-cache statistics since Build (all evaluations and
-  // threads): disc-check memo traffic and the size of the materialized
-  // region-quantifier range. Exported to EvalOptions::metrics after each
-  // evaluation; exposed here for direct inspection.
+  // Cumulative statistics of the materialized region-quantifier range
+  // since Build (all evaluations and threads). Exported to
+  // EvalOptions::metrics after each evaluation; exposed here for direct
+  // inspection.
   struct CacheStats {
-    uint64_t disc_memo_hits = 0;
-    uint64_t disc_memo_misses = 0;
     int64_t materialized_discs = 0;   // disc values in the shared range
     int64_t raw_candidates = 0;       // raw connected face sets consumed
   };
@@ -191,12 +148,22 @@ class QueryEngine {
   // quantifier runs). Cheap; safe to call per evaluation.
   SelectivityStats planner_stats() const;
 
+  // NotFound for the first atom region-name constant that does not
+  // resolve; OK otherwise. NameEq positions are skipped: unknown names
+  // there are legal and simply compare unequal. Callers that rewrite a
+  // query before evaluating it run this on the input first, since
+  // canonicalization can fold an unknown name away (the planned path of
+  // Evaluate, and EvaluateQueryCached before it builds its cache key).
+  Status ValidateAtomNames(const Formula& query) const;
+
  private:
-  friend class BaselineEvaluator;
   friend class BitsetEvaluator;
 
   explicit QueryEngine(CellComplex complex);
-  void BuildUniverse();
+  // Derives the tables below from complex_. Internal if a vertex has no
+  // incident face: the disc check assumes every vertex has one, and
+  // CellComplex::Build never emits such a vertex.
+  Status BuildUniverse();
 
   // One materialized region-quantifier candidate: the completed open-disc
   // cell set, its topological closure, and the 1-based index of the raw
@@ -208,29 +175,24 @@ class QueryEngine {
     int64_t raw_index = 0;
   };
 
-  // Exact cell-level CellSet disc check (unmemoized; the general path for
-  // complexes with dart-less vertices).
-  bool ComputeDiscValueBits(const CellSet& face_set,
-                            CellSet* completed) const;
-
-  // Face-level disc check: equivalent to the cell-level one whenever no
-  // vertex is dart-less (completion connectivity reduces to dual
-  // connectivity of the chosen faces, sphere-complement connectivity to
-  // connectivity of the unchosen faces over face_adj_ext_), but runs BFS
-  // over nf_ faces instead of all cells and defers materializing the
-  // completion until the set is known to be a disc.
+  // Face-level disc check: with every vertex incident to a face,
+  // connectivity of the completion reduces to dual connectivity of the
+  // chosen faces, and sphere-complement connectivity to connectivity of
+  // the unchosen faces over face_adj_ext_. The BFS runs over nf_ faces
+  // instead of all cells, and the completion is only materialized once
+  // the set is known to be a disc.
   bool FaceSetIsDisc(const CellSet& face_set) const;
   // The completion of a face set (no disc checking): chosen faces, edges
-  // with both sides chosen, vertices with >= 1 incident face, all chosen.
+  // with both sides chosen, vertices with all incident faces chosen.
   void CompleteFaceSet(const CellSet& face_set, CellSet* completed) const;
 
   // Returns the k-th disc value of the shared materialized quantifier
   // range, lazily extending it (thread-safe); nullptr when the range is
   // exhausted before k. Errors with ResourceExhausted when reaching the
   // k-th disc (or exhaustion) would take more than max_steps raw
-  // candidates — the same iteration point at which the baseline
-  // evaluator's fresh enumeration errors. `stop` is polled every ~1k raw
-  // candidates while extending the range.
+  // candidates — the same iteration point at which a fresh enumeration
+  // per quantifier (the reference evaluator's) errors. `stop` is polled
+  // every ~1k raw candidates while extending the range.
   Result<const DiscValue*> FetchDiscValue(int64_t k, int64_t max_steps,
                                           const StopSignal& stop) const;
 
@@ -238,31 +200,15 @@ class QueryEngine {
   // precomputed closures).
   CellSet ClosureBits(const CellSet& cells) const;
 
-  // Parallel fan-out of the outermost quantifier (options.num_threads > 1).
-  Result<bool> EvaluateParallel(const FormulaPtr& query,
-                                const EvalOptions& options) const;
-
-  // Strategy/parallelism dispatch behind the validated, instrumented
-  // Evaluate entry point.
-  Result<bool> EvaluateDispatch(const FormulaPtr& query,
-                                const EvalOptions& options) const;
-
-  // Planning stage ahead of dispatch (options.plan): plans the query,
+  // Planning stage (options.plan) and the evaluator run behind the
+  // validated, instrumented Evaluate entry point: plans the query,
   // pre-validates its atom region names, exports planner.* metrics.
   Result<bool> EvaluatePlanned(const FormulaPtr& query,
                                const EvalOptions& options) const;
 
-  // NotFound for the first atom region-name constant that does not
-  // resolve; OK otherwise. NameEq positions are skipped — unknown names
-  // there are legal and simply compare unequal.
-  Status ValidateAtomNames(const Formula& query) const;
-
   CellComplex complex_;
   // Cell ids: [0, nv) vertices, [nv, nv+ne) edges, [nv+ne, nv+ne+nf) faces.
   int nv_ = 0, ne_ = 0, nf_ = 0;
-  std::vector<std::vector<int>> closure_;    // Boundary cells per cell
-                                             // (excluding the cell itself).
-  std::vector<std::vector<int>> incidence_;  // Symmetric incidence graph.
   std::vector<std::vector<int>> face_dual_;  // Faces sharing an edge
                                              // (face-local indices).
   std::vector<std::vector<int>> face_adj_ext_;  // Faces sharing an edge or
@@ -273,11 +219,8 @@ class QueryEngine {
   // connectivity BFS becomes a handful of OR/AND word operations.
   std::vector<uint64_t> face_dual_mask_;
   std::vector<uint64_t> face_adj_ext_mask_;
-  bool has_isolated_vertex_ = false;  // Any dart-less vertex? (Forces the
-                                      // exact cell-level disc check.)
   std::vector<std::vector<int>> vertex_faces_;  // Incident faces per vertex.
   std::vector<std::pair<int, int>> edge_faces_;  // EdgeFaces(e), flattened.
-  std::map<std::string, std::vector<char>> region_values_;
 
   // Bitset universe: per-cell closures *including* the cell itself, so the
   // closure of any set is the word-parallel OR over its members.
@@ -285,10 +228,10 @@ class QueryEngine {
   std::map<std::string, CellSet> region_bits_;
   std::map<std::string, CellSet> region_closure_bits_;
 
-  // Internally synchronized mutable caches (disc-check memo + materialized
-  // quantifier range); behind a pointer to keep the engine movable.
-  struct QueryCaches;
-  std::unique_ptr<QueryCaches> caches_;
+  // The internally synchronized materialized quantifier range; behind a
+  // pointer to keep the engine movable.
+  struct DiscRange;
+  std::unique_ptr<DiscRange> range_;
 };
 
 }  // namespace topodb

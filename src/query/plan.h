@@ -39,10 +39,9 @@ namespace topodb {
 //
 // Contract with evaluation (the differential suite pins this): for a
 // query whose atom region names all resolve, evaluating PlanQuery's
-// output is verdict-identical to evaluating the input, under both
-// evaluation strategies and any thread count, on every evaluation that
-// completes within its budgets. Reordering can move the *point* at
-// which a budget or deadline trips, so error outcomes are only
+// output is verdict-identical to evaluating the input on every
+// evaluation that completes within its budgets. Reordering can move the
+// *point* at which a budget or deadline trips, so error outcomes are only
 // guaranteed to match when neither order exhausts a budget; unknown
 // atom names are rejected up front by the planned path (see
 // EvalOptions::plan in eval.h) precisely so short-circuit reordering

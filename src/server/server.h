@@ -59,7 +59,7 @@ struct ServerOptions {
   // How long Shutdown() lets admitted work finish before cancelling
   // stragglers via the shared CancelToken.
   std::chrono::milliseconds drain_timeout{2000};
-  // Per-evaluation knobs for EVAL_QUERY (strategy, enumeration budgets).
+  // Per-evaluation knobs for EVAL_QUERY (the enumeration budgets).
   // Deadline/cancel/metrics fields are overwritten per request, as are
   // the plan flag and the semantic-cache plumbing (see below).
   EvalOptions eval;

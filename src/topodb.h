@@ -25,7 +25,6 @@
 #include "src/obs/metrics.h"            // Counters/histograms/registry.
 #include "src/pipeline/batch.h"         // Batched invariant pipeline.
 #include "src/pipeline/invariant_cache.h"  // Canonical-string cache.
-#include "src/pipeline/query_batch.h"   // Batched query evaluation.
 #include "src/query/eval.h"             // FO(Region, Region') evaluation.
 #include "src/query/parser.h"
 #include "src/query/rect_eval.h"    // FO(Rect, Rect) (Thm 5.8, Fig 13).

@@ -1,6 +1,6 @@
 // Thread-interaction coverage, built for TSan: shared caches, shared
-// metric registries, parallel quantifier fan-out, and mid-flight
-// cancellation. CI runs exactly this suite under -fsanitize=thread
+// metric registries, one query engine serving many threads, and
+// mid-flight cancellation. CI runs exactly this suite under -fsanitize=thread
 // (filtered via `ctest -R ConcurrencyTest`), so every cross-thread
 // access pattern the serving path supports should be exercised here.
 
@@ -18,7 +18,6 @@
 #include "src/pipeline/batch.h"
 #include "src/pipeline/bounded_cache.h"
 #include "src/pipeline/invariant_cache.h"
-#include "src/pipeline/query_batch.h"
 #include "src/query/eval.h"
 #include "src/region/fixtures.h"
 #include "src/workload/generators.h"
@@ -36,6 +35,26 @@ std::vector<SpatialInstance> SmallWorkload() {
   instances.push_back(*ChainInstance(3));
   instances.push_back(*ChainInstance(3));
   return instances;
+}
+
+// Evaluates every query on `engine` from `threads` std::threads sharing
+// `options` (thread t takes queries t, t + threads, ...); results stay
+// aligned with the queries.
+std::vector<Result<bool>> EvaluateOnThreads(
+    const QueryEngine& engine, const std::vector<std::string>& queries,
+    const EvalOptions& options, int threads) {
+  std::vector<Result<bool>> results(queries.size(),
+                                    Result<bool>(Status::Internal("not run")));
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      for (size_t i = t; i < queries.size(); i += threads) {
+        results[i] = engine.Evaluate(queries[i], options);
+      }
+    });
+  }
+  for (std::thread& thread : pool) thread.join();
+  return results;
 }
 
 TEST(ConcurrencyTest, SharedCacheAndRegistryAcrossInvariantBatch) {
@@ -65,40 +84,22 @@ TEST(ConcurrencyTest, SharedEngineAndRegistryAcrossQueryBatch) {
       "forall region r . connect(r, r)",
       "exists region r . subset(r, A) and subset(r, B)",
   };
-  // Duplicates drive the shared disc-check memo from several threads.
+  // Duplicates drive the shared quantifier range from several threads.
   queries.push_back(queries[2]);
   queries.push_back(queries[3]);
 
   MetricsRegistry registry;
-  QueryBatchOptions options;
-  options.num_threads = 4;
+  EvalOptions options;
   options.metrics = &registry;
   const std::vector<Result<bool>> results =
-      BatchEvaluateQueries(engine, queries, options);
-  ASSERT_EQ(results.size(), queries.size());
+      EvaluateOnThreads(engine, queries, options, 4);
   for (size_t i = 0; i < queries.size(); ++i) {
     const Result<bool> serial = engine.Evaluate(queries[i]);
     ASSERT_TRUE(results[i].ok()) << queries[i];
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ(*results[i], *serial) << queries[i];
   }
-  EXPECT_EQ(registry.counter("query_batch.items")->value(), queries.size());
   EXPECT_EQ(registry.counter("query.evaluations")->value(), queries.size());
-}
-
-TEST(ConcurrencyTest, ParallelOuterQuantifierWithSharedMetrics) {
-  QueryEngine engine = *QueryEngine::Build(Fig1cInstance());
-  const std::string query = "forall region r . connect(r, r)";
-  MetricsRegistry registry;
-  EvalOptions parallel;
-  parallel.num_threads = 4;
-  parallel.metrics = &registry;
-  const Result<bool> fanned = engine.Evaluate(query, parallel);
-  const Result<bool> serial = engine.Evaluate(query);
-  ASSERT_TRUE(fanned.ok()) << fanned.status().ToString();
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(*fanned, *serial);
-  EXPECT_GT(registry.counter("query.bindings")->value(), 0u);
 }
 
 TEST(ConcurrencyTest, ConcurrentEvaluationsOnOneEngineShareCaches) {
@@ -155,23 +156,24 @@ TEST(ConcurrencyTest, QueryBatchCancellationMidFlightIsObservedSafely) {
   const std::vector<std::string> queries(
       8, "forall region r . exists region s . connect(r, s)");
   CancelToken token;
-  QueryBatchOptions options;
-  options.num_threads = 4;
+  MetricsRegistry registry;
+  EvalOptions options;
   options.cancel = &token;
+  options.metrics = &registry;
   std::thread canceller([&token] {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     token.Cancel();
   });
   const std::vector<Result<bool>> results =
-      BatchEvaluateQueries(engine, queries, options);
+      EvaluateOnThreads(engine, queries, options, 4);
   canceller.join();
-  ASSERT_EQ(results.size(), queries.size());
   for (const Result<bool>& result : results) {
     if (!result.ok()) {
       EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
           << result.status().ToString();
     }
   }
+  EXPECT_EQ(registry.counter("query.evaluations")->value(), queries.size());
 }
 
 TEST(ConcurrencyTest, BoundedCacheHoldsItsCapsUnderContention) {

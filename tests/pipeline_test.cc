@@ -9,7 +9,6 @@
 #include "src/invariant/data.h"
 #include "src/pipeline/batch.h"
 #include "src/pipeline/invariant_cache.h"
-#include "src/pipeline/query_batch.h"
 #include "src/region/fixtures.h"
 #include "src/workload/generators.h"
 
@@ -170,75 +169,6 @@ TEST(BatchTest, DefaultThreadCountHandlesLargeBatch) {
   for (const auto& result : results) EXPECT_TRUE(result.ok());
 }
 
-// --- Batched query evaluation (src/pipeline/query_batch.h) ---
-
-TEST(QueryBatchTest, ManyQueriesOneEngineMatchSerial) {
-  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  const std::vector<std::string> queries = {
-      "exists region r . subset(r, A) and subset(r, B) and subset(r, C)",
-      "forall region r . connect(r, r)",
-      "connect(A, B)",
-      "exists name a . exists name b . not (a = b) and overlap(a, b)",
-      "connect(A, Z)",   // Unknown name: per-query NotFound, not batch-fatal.
-      "frobnicate(A)",   // Parse error: ditto.
-  };
-  for (int threads : {1, 4}) {
-    QueryBatchOptions options;
-    options.num_threads = threads;
-    const std::vector<Result<bool>> results =
-        BatchEvaluateQueries(engine, queries, options);
-    ASSERT_EQ(results.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const Result<bool> serial = engine.Evaluate(queries[i]);
-      ASSERT_EQ(results[i].ok(), serial.ok()) << queries[i];
-      if (serial.ok()) {
-        EXPECT_EQ(*results[i], *serial) << queries[i];
-      } else {
-        EXPECT_EQ(results[i].status().code(), serial.status().code())
-            << queries[i];
-      }
-    }
-  }
-}
-
-TEST(QueryBatchTest, OneQueryManyInstancesMatchesSerial) {
-  const std::vector<SpatialInstance> instances = MixedWorkload();
-  const std::string query = "forall region r . connect(r, r)";
-  for (int threads : {1, 4}) {
-    QueryBatchOptions options;
-    options.num_threads = threads;
-    const std::vector<Result<bool>> results =
-        BatchEvaluateQuery(query, instances, options);
-    ASSERT_EQ(results.size(), instances.size());
-    for (size_t i = 0; i < instances.size(); ++i) {
-      QueryEngine engine = *QueryEngine::Build(instances[i]);
-      const Result<bool> serial = engine.Evaluate(query);
-      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-      ASSERT_TRUE(serial.ok());
-      EXPECT_EQ(*results[i], *serial) << i;
-    }
-  }
-}
-
-TEST(QueryBatchTest, MalformedQueryFailsEveryInstanceUniformly) {
-  const std::vector<SpatialInstance> instances = {Fig1aInstance(),
-                                                  Fig1cInstance()};
-  const std::vector<Result<bool>> results =
-      BatchEvaluateQuery("exists region . true", instances);
-  ASSERT_EQ(results.size(), instances.size());
-  for (const Result<bool>& result : results) {
-    EXPECT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kParseError);
-  }
-}
-
-TEST(QueryBatchTest, EmptyBatchesReturnNoResults) {
-  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  EXPECT_TRUE(BatchEvaluateQueries(engine, std::vector<std::string>{}).empty());
-  EXPECT_TRUE(
-      BatchEvaluateQuery("true", std::vector<SpatialInstance>{}).empty());
-}
-
 // --- Deadlines, cancellation, worker-count validation, metrics ---
 
 TEST(BatchDeadlineTest, ExpiredDeadlineFailsEveryItemIndividually) {
@@ -358,93 +288,6 @@ TEST(BatchMetricsTest, RecordsPerStageTimingsAndItemCounts) {
   // Arrangement metrics propagate through BatchOptions::metrics.
   EXPECT_EQ(registry.counter("arrangement.builds")->value(), instances.size());
   EXPECT_GT(registry.counter("arrangement.candidate_pairs")->value(), 0u);
-}
-
-TEST(QueryBatchDeadlineTest, ExpiredDeadlineFailsEveryQuery) {
-  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  const std::vector<std::string> queries = {"connect(A, B)", "connect(A, C)",
-                                            "forall region r . connect(r, r)"};
-  for (int threads : {1, 4}) {
-    QueryBatchOptions options;
-    options.num_threads = threads;
-    options.deadline = Deadline::Expired();
-    const std::vector<Result<bool>> results =
-        BatchEvaluateQueries(engine, queries, options);
-    ASSERT_EQ(results.size(), queries.size());
-    for (const Result<bool>& result : results) {
-      ASSERT_FALSE(result.ok());
-      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-    }
-  }
-}
-
-TEST(QueryBatchDeadlineTest, ExpiredDeadlineFailsEveryInstance) {
-  const std::vector<SpatialInstance> instances = {Fig1aInstance(),
-                                                  Fig1cInstance()};
-  QueryBatchOptions options;
-  options.deadline = Deadline::Expired();
-  const std::vector<Result<bool>> results =
-      BatchEvaluateQuery("connect(A, B)", instances, options);
-  ASSERT_EQ(results.size(), instances.size());
-  for (const Result<bool>& result : results) {
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  }
-}
-
-TEST(QueryBatchDeadlineTest, GenerousDeadlineMatchesUndeadlinedVerdicts) {
-  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  const std::vector<std::string> queries = {
-      "connect(A, B)", "forall region r . connect(r, r)",
-      "exists region r . subset(r, A) and subset(r, B) and subset(r, C)"};
-  QueryBatchOptions bounded;
-  bounded.deadline = Deadline::AfterMillis(3'600'000);
-  const std::vector<Result<bool>> with =
-      BatchEvaluateQueries(engine, queries, bounded);
-  const std::vector<Result<bool>> without =
-      BatchEvaluateQueries(engine, queries);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(with[i].ok()) << with[i].status().ToString();
-    ASSERT_TRUE(without[i].ok());
-    EXPECT_EQ(*with[i], *without[i]) << queries[i];
-  }
-}
-
-TEST(QueryBatchDeadlineTest, NegativeThreadCountFailsEverySlot) {
-  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  const std::vector<std::string> queries = {"connect(A, B)", "connect(A, C)"};
-  QueryBatchOptions options;
-  options.num_threads = -1;
-  const std::vector<Result<bool>> per_query =
-      BatchEvaluateQueries(engine, queries, options);
-  ASSERT_EQ(per_query.size(), queries.size());
-  for (const Result<bool>& result : per_query) {
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  }
-  const std::vector<SpatialInstance> instances = {Fig1aInstance()};
-  const std::vector<Result<bool>> per_instance =
-      BatchEvaluateQuery("connect(A, B)", instances, options);
-  ASSERT_EQ(per_instance.size(), instances.size());
-  EXPECT_EQ(per_instance[0].status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(QueryBatchMetricsTest, CountsItemsAndEngineBuilds) {
-  const std::vector<SpatialInstance> instances = {Fig1aInstance(),
-                                                  Fig1cInstance()};
-  MetricsRegistry registry;
-  QueryBatchOptions options;
-  options.metrics = &registry;
-  const std::vector<Result<bool>> results =
-      BatchEvaluateQuery("connect(A, B)", instances, options);
-  for (const Result<bool>& result : results) ASSERT_TRUE(result.ok());
-  EXPECT_EQ(registry.counter("query_batch.items")->value(), instances.size());
-  EXPECT_EQ(registry.counter("query_batch.failures")->value(), 0u);
-  EXPECT_EQ(registry.histogram("query_batch.engine_build_us")->count(),
-            instances.size());
-  // The merged EvalOptions carry the registry into each evaluation.
-  EXPECT_EQ(registry.counter("query.evaluations")->value(), instances.size());
-  EXPECT_EQ(registry.histogram("query.eval_us")->count(), instances.size());
 }
 
 }  // namespace

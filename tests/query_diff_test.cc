@@ -1,10 +1,10 @@
-// Differential properties of the query layer: the baseline (byte-per-cell)
-// evaluator, the bitset evaluator and its parallel fan-out must produce
-// identical verdicts AND identical error points on every input, and the
-// name-level atoms must agree with verdicts derived independently from the
-// thematic mapping's RegionFaces table. These suites are what licenses
-// every optimization in eval.cc: any divergence is a bug in one of the
-// evaluators, never acceptable drift.
+// Differential properties of the query layer: QueryEngine and the
+// byte-per-cell reference evaluator (tests/reference_eval.h, built from
+// the same CellComplex) must produce identical verdicts AND identical
+// error points on every input, and the name-level atoms must agree with
+// verdicts derived independently from the thematic mapping's RegionFaces
+// table. These suites are what licenses every optimization in eval.cc:
+// any divergence is a bug in one of the two, never acceptable drift.
 
 #include <algorithm>
 #include <cstdint>
@@ -19,9 +19,11 @@
 #include "src/invariant/data.h"
 #include "src/query/eval.h"
 #include "src/query/parser.h"
+#include "src/query/plan.h"
 #include "src/region/fixtures.h"
 #include "src/thematic/thematic.h"
 #include "src/workload/generators.h"
+#include "tests/reference_eval.h"
 
 namespace topodb {
 namespace {
@@ -37,6 +39,8 @@ const char* const kGenericQueries[] = {
     "(connect(a, b) iff connect(b, a))",
     "exists cell c . forall name a . subset(c, a)",
     "forall cell c . exists region r . subset(c, r)",
+    // Closure-sensitive: meet needs the boundary cells of both operands.
+    "exists name a . exists region r . meet(r, a)",
 };
 
 std::vector<SpatialInstance> DiffWorkload() {
@@ -51,30 +55,23 @@ std::vector<SpatialInstance> DiffWorkload() {
   return instances;
 }
 
-// Evaluates the query under every strategy (baseline, bitset, bitset with
-// a 3-thread fan-out) and asserts the outcomes are interchangeable: same
-// verdict on success, same status code and message on failure.
+// Evaluates the query with both strategies, the reference evaluator and
+// the engine, and asserts the outcomes are interchangeable: same verdict
+// on success, same status code and message on failure. With
+// options.plan the engine evaluates PlanQuery's output, so the reference
+// gets that formula too, planned from the same stats.
 void ExpectStrategiesAgree(const QueryEngine& engine, const std::string& query,
-                           const EvalOptions& base = {}) {
-  EvalOptions baseline = base;
-  baseline.strategy = EvalStrategy::kBaseline;
-  EvalOptions bitset = base;
-  bitset.strategy = EvalStrategy::kBitset;
-  EvalOptions threaded = bitset;
-  threaded.num_threads = 3;
-
-  Result<bool> a = engine.Evaluate(query, baseline);
-  Result<bool> b = engine.Evaluate(query, bitset);
-  ASSERT_EQ(a.ok(), b.ok()) << query << "\n baseline: " << a.status().ToString()
-                            << "\n bitset:   " << b.status().ToString();
+                           const EvalOptions& options = {}) {
+  const FormulaPtr written = *ParseQuery(query);
+  const FormulaPtr planned =
+      options.plan ? PlanQuery(written, engine.planner_stats()) : written;
+  Result<bool> a = ReferenceEngine(engine.complex()).Evaluate(planned, options);
+  Result<bool> b = engine.Evaluate(written, options);
+  ASSERT_EQ(a.ok(), b.ok()) << query
+                            << "\n reference: " << a.status().ToString()
+                            << "\n engine:    " << b.status().ToString();
   if (a.ok()) {
     EXPECT_EQ(*a, *b) << query;
-    // The parallel fan-out splits the budget per binding, so its error
-    // points legitimately differ; verdicts are only required to match on
-    // evaluations that succeed sequentially.
-    Result<bool> c = engine.Evaluate(query, threaded);
-    ASSERT_TRUE(c.ok()) << query << "\n threaded: " << c.status().ToString();
-    EXPECT_EQ(*a, *c) << query;
   } else {
     EXPECT_EQ(a.status().code(), b.status().code()) << query;
     EXPECT_EQ(a.status().ToString(), b.status().ToString()) << query;
@@ -101,45 +98,36 @@ TEST(QueryDiffTest, StrategiesAgreeOnPaperExamples) {
   }
 }
 
-// The planner (EvalOptions::plan) is a pure rewrite stage: for every
-// strategy and thread count, the planned evaluation must return exactly
-// the verdict of the unplanned one. Run the full differential workload
-// with and without planning, under each strategy, and require identical
-// outcomes pairwise.
+// The planner (EvalOptions::plan) is a pure rewrite stage: the planned
+// evaluation must return exactly the verdict of the unplanned one. Run
+// the full differential workload with and without planning and require
+// identical outcomes pairwise.
 TEST(QueryDiffTest, PlannedMatchesUnplannedAcrossStrategiesAndWorkload) {
   for (const SpatialInstance& instance : DiffWorkload()) {
     QueryEngine engine = *QueryEngine::Build(instance);
     for (const char* query : kGenericQueries) {
-      for (const EvalStrategy strategy :
-           {EvalStrategy::kBaseline, EvalStrategy::kBitset}) {
-        for (const int threads : {1, 3}) {
-          EvalOptions unplanned;
-          unplanned.strategy = strategy;
-          unplanned.num_threads = threads;
-          EvalOptions planned = unplanned;
-          planned.plan = true;
-          const Result<bool> u = engine.Evaluate(query, unplanned);
-          const Result<bool> p = engine.Evaluate(query, planned);
-          ASSERT_EQ(u.ok(), p.ok())
-              << query << "\n unplanned: " << u.status().ToString()
-              << "\n planned:   " << p.status().ToString();
-          if (u.ok()) EXPECT_EQ(*u, *p) << query;
-        }
+      EvalOptions unplanned;
+      EvalOptions planned;
+      planned.plan = true;
+      const Result<bool> u = engine.Evaluate(query, unplanned);
+      const Result<bool> p = engine.Evaluate(query, planned);
+      ASSERT_EQ(u.ok(), p.ok())
+          << query << "\n unplanned: " << u.status().ToString()
+          << "\n planned:   " << p.status().ToString();
+      if (u.ok()) {
+        EXPECT_EQ(*u, *p) << query;
       }
-      // The planned path must also satisfy the cross-strategy agreement
-      // contract on its own.
-      EvalOptions plan_base;
-      plan_base.plan = true;
-      ExpectStrategiesAgree(engine, query, plan_base);
+      // The planned path must also agree with the reference on its own.
+      ExpectStrategiesAgree(engine, query, planned);
     }
   }
 }
 
 // Budget accounting is part of the observable semantics: for EVERY budget
-// value, both strategies must fail at the same point with the same message
-// (the budget is charged per disc value, after the disc check, so the
-// exhaustion point is a topological invariant of the instance — not an
-// artifact of which evaluator enumerates).
+// value, the engine and the reference must fail at the same point with the
+// same message (the budget is charged per disc value, after the disc
+// check, so the exhaustion point is a topological invariant of the
+// instance — not an artifact of which evaluator enumerates).
 TEST(QueryDiffTest, BudgetErrorPointsAreStrategyIndependent) {
   for (SpatialInstance instance :
        {Fig1aInstance(), NestedInstance(), *CombInstance(2)}) {
@@ -188,18 +176,51 @@ TEST(QueryDiffTest, StepsErrorMessageNamesTheLimit) {
       << result.status().ToString();
 }
 
-// --- IsDiscValue: reference vs memoized bitset implementation ---
+// A full-size corpus at a 2,000,000-candidate budget: the paper's
+// Examples 4.1 (region and cell forms) and 4.2 on their figures, and
+// quantifier-heavy rows on chains and combs larger than the instances
+// above.
+TEST(QueryDiffTest, FullSizeCorpusAgreesWithReference) {
+  const std::string example41 =
+      "exists region r . subset(r, A) and subset(r, B) and subset(r, C)";
+  const std::string example41_cells =
+      "exists cell c . subset(c, A) and subset(c, B) and subset(c, C)";
+  const std::string example42 =
+      "forall region r . forall region s . "
+      "(subset(r, A) and subset(r, B) and subset(s, A) and subset(s, B)) "
+      "implies exists region t . subset(t, A) and subset(t, B) and "
+      "connect(t, t) and connect(t, r) and connect(t, s)";
+  const std::string forall_connect = "forall region r . connect(r, r)";
+  // ChainInstance names its regions R000, R001, ...
+  const std::string cell_sweep =
+      "forall cell c . subset(c, R000) implies connect(c, R000)";
+  const std::vector<std::pair<SpatialInstance, std::string>> corpus = {
+      {Fig1aInstance(), example41},       {Fig1bInstance(), example41},
+      {Fig1aInstance(), example41_cells}, {Fig1bInstance(), example41_cells},
+      {Fig1cInstance(), example42},       {Fig1dInstance(), example42},
+      {*ChainInstance(6), forall_connect}, {*CombInstance(4), forall_connect},
+      {*ChainInstance(24), cell_sweep}};
+  EvalOptions options;
+  options.max_region_candidates = 2'000'000;
+  for (const auto& [instance, query] : corpus) {
+    QueryEngine engine = *QueryEngine::Build(instance);
+    ExpectStrategiesAgree(engine, query, options);
+    EXPECT_TRUE(engine.Evaluate(query, options).ok()) << query;
+  }
+}
+
+// --- IsDiscValue: reference vs the engine's face-level check ---
 
 // Exhaustively sweeps every subset of faces on small instances; the
-// reference (byte-per-cell) overload, the memoized CellSet overload, and a
-// repeated (memo-hit) call must agree on both the verdict and the
-// completed cell set.
+// reference's cell-level check and the engine's face-level one must agree
+// on both the verdict and the completed cell set.
 TEST(QueryDiffTest, DiscValueOverloadsAgreeOnAllFaceSubsets) {
   for (SpatialInstance instance :
        {Fig1aInstance(), Fig1dInstance(), NestedInstance(),
         DisjointPairInstance(), *CombInstance(2),
         *RandomRectInstance(4, 40, 11)}) {
     QueryEngine engine = *QueryEngine::Build(instance);
+    const ReferenceEngine reference(engine.complex());
     const int nf = static_cast<int>(engine.complex().faces().size());
     ASSERT_LE(nf, 16) << "subset sweep would explode";
     for (uint32_t bits = 0; bits < (uint32_t{1} << nf); ++bits) {
@@ -213,17 +234,15 @@ TEST(QueryDiffTest, DiscValueOverloadsAgreeOnAllFaceSubsets) {
       }
       std::vector<char> completed_ref;
       CellSet completed_bits;
-      const bool ref = engine.IsDiscValue(face_set, &completed_ref);
+      const bool ref = reference.IsDiscValue(face_set, &completed_ref);
       const bool fast = engine.IsDiscValue(face_bits, &completed_bits);
       ASSERT_EQ(ref, fast) << "face set " << bits;
       if (ref) {
         EXPECT_EQ(CellSet::FromCharVector(completed_ref), completed_bits)
             << "face set " << bits;
+      } else {
+        EXPECT_TRUE(completed_bits.None()) << "face set " << bits;
       }
-      // Second call hits the memo; same answer.
-      CellSet completed_again;
-      ASSERT_EQ(engine.IsDiscValue(face_bits, &completed_again), fast);
-      if (fast) EXPECT_EQ(completed_again, completed_bits);
     }
   }
 }
@@ -233,9 +252,10 @@ TEST(QueryDiffTest, DiscValueOverloadsAgreeOnAllFaceSubsets) {
 // of its incident faces are chosen — the vacuous form ("all incident
 // faces chosen", true for a dart-less vertex) would poison every
 // completion with isolated cells. The arrangement never emits dart-less
-// vertices, so the guard itself is unreachable through Build; what is
-// testable, and what this test pins exhaustively, is the non-vacuous rule
-// against ground truth recomputed here straight from the complex's darts.
+// vertices (QueryEngine::Build would fail with Internal on one), so what
+// is testable, and what this test pins exhaustively, is the engine's
+// completion against ground truth recomputed here straight from the
+// complex's darts.
 TEST(QueryDiffTest, CompletedVerticesMatchIncidentFaceRule) {
   for (SpatialInstance instance :
        {Fig1aInstance(), NestedInstance(), *CombInstance(2)}) {
@@ -254,15 +274,17 @@ TEST(QueryDiffTest, CompletedVerticesMatchIncidentFaceRule) {
           << "the arrangement emitted a dart-less vertex";
     }
     for (uint32_t bits = 0; bits < (uint32_t{1} << nf); ++bits) {
-      std::vector<char> face_set(nf, 0);
-      for (int f = 0; f < nf; ++f) face_set[f] = (bits >> f) & 1;
-      std::vector<char> completed;
+      CellSet face_set(nf);
+      for (int f = 0; f < nf; ++f) {
+        if ((bits >> f) & 1) face_set.Set(f);
+      }
+      CellSet completed;
       if (!engine.IsDiscValue(face_set, &completed)) continue;
-      ASSERT_EQ(completed.size(), static_cast<size_t>(nv + ne + nf));
+      ASSERT_EQ(completed.size_bits(), nv + ne + nf);
       for (int v = 0; v < nv; ++v) {
         bool all_chosen = true;
-        for (int f : vertex_faces[v]) all_chosen &= face_set[f] != 0;
-        EXPECT_EQ(completed[v] != 0, all_chosen)
+        for (int f : vertex_faces[v]) all_chosen &= face_set.Test(f);
+        EXPECT_EQ(completed.Test(v), all_chosen)
             << "vertex " << v << ", face set " << bits;
       }
     }

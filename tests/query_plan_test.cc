@@ -15,6 +15,7 @@
 #include "src/query/parser.h"
 #include "src/region/fixtures.h"
 #include "src/workload/generators.h"
+#include "tests/reference_eval.h"
 
 namespace topodb {
 namespace {
@@ -274,30 +275,30 @@ TEST(QueryPlanTest, RandomizedCanonicalKeyIsStableThroughReparse) {
 }
 
 // ---------------------------------------------------------------------
-// Planned-vs-unplanned differential (the PR 2 precedent): for queries
-// whose names resolve, planning must not change any verdict, under
-// either strategy and with the parallel fan-out.
+// Planned-vs-unplanned differential: for queries whose names resolve,
+// planning must not change any verdict, neither the engine's nor that of
+// the reference evaluator (tests/reference_eval.h) run on PlanQuery's
+// output.
 
 void ExpectPlannedMatchesUnplanned(const QueryEngine& engine,
                                    const std::string& query) {
-  for (EvalStrategy strategy :
-       {EvalStrategy::kBaseline, EvalStrategy::kBitset}) {
-    for (int threads : {1, 3}) {
-      EvalOptions unplanned;
-      unplanned.strategy = strategy;
-      unplanned.num_threads = threads;
-      EvalOptions planned = unplanned;
-      planned.plan = true;
-      Result<bool> a = engine.Evaluate(query, unplanned);
-      Result<bool> b = engine.Evaluate(query, planned);
-      ASSERT_TRUE(a.ok()) << query << ": " << a.status().ToString();
-      ASSERT_TRUE(b.ok()) << query << ": " << b.status().ToString();
-      EXPECT_EQ(*a, *b) << query << " strategy="
-                        << (strategy == EvalStrategy::kBitset ? "bitset"
-                                                              : "baseline")
-                        << " threads=" << threads;
-    }
-  }
+  const FormulaPtr written = *ParseQuery(query);
+  const ReferenceEngine reference(engine.complex());
+  Result<bool> a = reference.Evaluate(written);
+  Result<bool> b =
+      reference.Evaluate(PlanQuery(written, engine.planner_stats()));
+  ASSERT_TRUE(a.ok()) << query << ": " << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << query << ": " << b.status().ToString();
+  EXPECT_EQ(*a, *b) << query << " (reference)";
+  EvalOptions unplanned;
+  EvalOptions planned;
+  planned.plan = true;
+  Result<bool> c = engine.Evaluate(written, unplanned);
+  Result<bool> d = engine.Evaluate(written, planned);
+  ASSERT_TRUE(c.ok()) << query << ": " << c.status().ToString();
+  ASSERT_TRUE(d.ok()) << query << ": " << d.status().ToString();
+  EXPECT_EQ(*a, *c) << query << " (engine, unplanned)";
+  EXPECT_EQ(*a, *d) << query << " (engine, planned)";
 }
 
 TEST(QueryPlanTest, PlannedMatchesUnplannedOnPaperExamples) {
@@ -345,7 +346,6 @@ TEST(QueryPlanTest, RandomizedPlannedDifferential) {
     // generator's name pool is mostly junk, so route through validation
     // by asking the unplanned evaluator first.
     EvalOptions unplanned;
-    unplanned.strategy = EvalStrategy::kBitset;
     Result<bool> a = engine.Evaluate(f, unplanned);
     if (!a.ok()) continue;
     // Names may still be invalid if short-circuiting skipped them;

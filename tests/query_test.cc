@@ -4,6 +4,7 @@
 
 #include "src/query/parser.h"
 #include "src/region/fixtures.h"
+#include "tests/reference_eval.h"
 
 namespace topodb {
 namespace {
@@ -334,41 +335,36 @@ TEST(QueryTest, DiscValueChecker) {
     if (label == "--") outer = static_cast<int>(f);
   }
   ASSERT_NE(annulus, -1);
-  std::vector<char> completed;
-  std::vector<char> pick(3, 0);
-  pick[annulus] = 1;
-  EXPECT_FALSE(engine->IsDiscValue(pick, &completed));  // Annulus: hole.
-  pick.assign(3, 0);
-  pick[inner] = 1;
-  EXPECT_TRUE(engine->IsDiscValue(pick, &completed));
-  pick.assign(3, 0);
-  pick[outer] = 1;
-  EXPECT_FALSE(engine->IsDiscValue(pick, &completed));  // Plane minus disc.
+  auto is_disc = [&](std::initializer_list<int> faces) {
+    CellSet pick(3);
+    for (int f : faces) pick.Set(f);
+    CellSet completed;
+    return engine->IsDiscValue(pick, &completed);
+  };
+  EXPECT_FALSE(is_disc({annulus}));  // Annulus: hole.
+  EXPECT_TRUE(is_disc({inner}));
+  EXPECT_FALSE(is_disc({outer}));  // Plane minus disc.
   // Annulus + inner = open disc (B's closure absorbed).
-  pick.assign(3, 0);
-  pick[annulus] = 1;
-  pick[inner] = 1;
-  EXPECT_TRUE(engine->IsDiscValue(pick, &completed));
+  EXPECT_TRUE(is_disc({annulus, inner}));
   // Everything = the whole plane, a disc.
-  pick.assign(3, 1);
-  EXPECT_TRUE(engine->IsDiscValue(pick, &completed));
+  EXPECT_TRUE(is_disc({annulus, inner, outer}));
   // Empty set is not a region.
-  pick.assign(3, 0);
-  EXPECT_FALSE(engine->IsDiscValue(pick, &completed));
+  EXPECT_FALSE(is_disc({}));
 }
 
 // --- Deadlines, cancellation, and evaluation metrics ---
 
 TEST(QueryDeadlineTest, ExpiredDeadlineFailsBothStrategies) {
   QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  for (EvalStrategy strategy : {EvalStrategy::kBitset, EvalStrategy::kBaseline}) {
-    EvalOptions options;
-    options.strategy = strategy;
-    options.deadline = Deadline::Expired();
-    // The entry checkpoint fires before any work, for any query shape.
-    for (const char* query :
-         {"connect(A, B)", "forall region r . connect(r, r)"}) {
-      Result<bool> result = engine.Evaluate(query, options);
+  const ReferenceEngine reference(engine.complex());
+  EvalOptions options;
+  options.deadline = Deadline::Expired();
+  // The entry checkpoint fires before any work, for any query shape, in
+  // the engine and in the reference evaluator alike.
+  for (const char* query :
+       {"connect(A, B)", "forall region r . connect(r, r)"}) {
+    for (const Result<bool>& result : {engine.Evaluate(query, options),
+                                       reference.Evaluate(query, options)}) {
       ASSERT_FALSE(result.ok()) << query;
       EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
           << query;
@@ -401,27 +397,6 @@ TEST(QueryDeadlineTest, PreCancelledTokenFailsEvaluation) {
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST(QueryDeadlineTest, ExpiredDeadlineFailsParallelFanOut) {
-  QueryEngine engine = *QueryEngine::Build(Fig1cInstance());
-  EvalOptions options;
-  options.num_threads = 4;
-  options.deadline = Deadline::Expired();
-  Result<bool> result =
-      engine.Evaluate("forall region r . connect(r, r)", options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(QueryEvalOptionsTest, NegativeThreadCountIsInvalidArgument) {
-  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  EvalOptions options;
-  options.num_threads = -3;
-  Result<bool> result = engine.Evaluate("connect(A, B)", options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("num_threads"), std::string::npos);
-}
-
 TEST(QueryMetricsTest, EvaluationPopulatesCountersAndLatency) {
   QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
   MetricsRegistry registry;
@@ -436,6 +411,8 @@ TEST(QueryMetricsTest, EvaluationPopulatesCountersAndLatency) {
   // The region quantifier materialized discs via the shared range.
   EXPECT_GT(registry.gauge("query.range_discs")->value(), 0);
   EXPECT_EQ(registry.counter("query.deadline_exceeded")->value(), 0u);
+  // There is no disc-check memo to report on.
+  EXPECT_EQ(registry.ExportText().find("disc_memo"), std::string::npos);
 }
 
 TEST(QueryMetricsTest, DeadlineExceededIsCounted) {
@@ -452,19 +429,17 @@ TEST(QueryMetricsTest, DeadlineExceededIsCounted) {
 
 TEST(QueryMetricsTest, CacheStatsAccumulateAcrossEvaluations) {
   QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  EXPECT_EQ(engine.cache_stats().disc_memo_hits, 0u);
+  EXPECT_EQ(engine.cache_stats().raw_candidates, 0);
   ASSERT_TRUE(engine.Evaluate(kTripleIntersection).ok());
   const QueryEngine::CacheStats first = engine.cache_stats();
-  // The region quantifier materialized its range from raw candidates. (The
-  // disc-check memo is only exercised by explicit IsDiscValue(CellSet)
-  // calls, not by the range's face-level fast path, so no assertion here.)
+  // The region quantifier materialized its range from raw candidates.
   EXPECT_GT(first.materialized_discs, 0);
   EXPECT_GT(first.raw_candidates, 0);
   // A repeat evaluation reuses the materialized range: discs don't grow.
   ASSERT_TRUE(engine.Evaluate(kTripleIntersection).ok());
   const QueryEngine::CacheStats second = engine.cache_stats();
   EXPECT_EQ(second.materialized_discs, first.materialized_discs);
-  EXPECT_GE(second.disc_memo_hits, first.disc_memo_hits);
+  EXPECT_EQ(second.raw_candidates, first.raw_candidates);
 }
 
 }  // namespace

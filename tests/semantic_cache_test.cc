@@ -6,6 +6,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -51,16 +52,10 @@ TEST(SemanticCacheTest, KeySeparatesEntryIdentityAndOptions) {
 
   // Verdict-relevant options fracture it too...
   EvalOptions other = base;
-  other.strategy = EvalStrategy::kBaseline;
-  EXPECT_NE(SemanticCacheKey(7, 1, canonical, other), key);
-  other = base;
   other.max_region_candidates = 1;
   EXPECT_NE(SemanticCacheKey(7, 1, canonical, other), key);
   other = base;
   other.max_enumeration_steps = 1;
-  EXPECT_NE(SemanticCacheKey(7, 1, canonical, other), key);
-  other = base;
-  other.num_threads = 4;
   EXPECT_NE(SemanticCacheKey(7, 1, canonical, other), key);
   other = base;
   other.plan = true;
@@ -101,6 +96,35 @@ TEST(SemanticCacheTest, EquivalentQueriesShareOneEntry) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 3u);
+}
+
+TEST(SemanticCacheTest, UnknownNamesStayNotFoundAfterAFoldedVerdictIsCached) {
+  // Canonicalization folds each query below to a bare literal, so its key
+  // is that literal's key. Once the literal's verdict is cached, the key
+  // alone would answer a query the engine rejects.
+  const std::pair<const char*, const char*> cases[] = {
+      {"connect(Z, Z) and false", "false"},
+      {"subset(Nope, A) or not subset(Nope, A)", "true"},
+  };
+  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
+  for (const bool plan : {false, true}) {
+    for (const auto& [query, literal] : cases) {
+      SemanticCache cache;
+      EvalOptions eval;
+      eval.semantic_cache = &cache;
+      eval.cache_entry_id = 42;
+      eval.plan = plan;
+      EXPECT_EQ(EvaluateQueryCached(engine, query, eval).status().code(),
+                StatusCode::kNotFound)
+          << query << " (cold)";
+      ASSERT_TRUE(EvaluateQueryCached(engine, literal, eval).ok());
+      ASSERT_EQ(cache.size(), 1u);
+      EXPECT_EQ(EvaluateQueryCached(engine, query, eval).status().code(),
+                StatusCode::kNotFound)
+          << query << " (after " << literal << " was cached)";
+      EXPECT_EQ(cache.stats().hits, 0u) << query;
+    }
+  }
 }
 
 TEST(SemanticCacheTest, ReingestIdentityChangeRoutesAroundStaleVerdicts) {

@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <netinet/in.h>
@@ -801,6 +802,45 @@ TEST(ServerTest, EquivalentQuerySpellingsShareOneServerCacheEntry) {
   }
   EXPECT_EQ(metrics.counter("semcache.misses")->value(), 1u);
   EXPECT_EQ(metrics.counter("semcache.hits")->value(), 2u);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST(ServerTest, UnknownNamesStayNotFoundAfterAFoldedVerdictIsCached) {
+  // Each query folds to a bare literal under canonicalization, the
+  // semantic cache's key. A cached verdict for that literal must not
+  // answer it: the name check runs before the key is built.
+  const std::string dir = TempCatalogDir();
+  MetricsRegistry metrics;
+  CatalogOptions catalog_options;
+  catalog_options.directory = dir;
+  auto catalog = Catalog::Open(catalog_options);
+  ASSERT_TRUE(catalog.ok());
+
+  ServerOptions options;
+  options.catalog = catalog->get();
+  options.metrics = &metrics;
+  TopoDbServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  TopoDbClient client = ConnectOrDie(server);
+  ASSERT_TRUE(
+      client.Load("fig1a", WriteInstanceText(Fig1aInstance())).ok());
+  const InstanceRef fig1a = InstanceRef::Name("fig1a");
+
+  const std::pair<const char*, const char*> cases[] = {
+      {"connect(Z, Z) and false", "false"},
+      {"subset(Nope, A) or not subset(Nope, A)", "true"},
+  };
+  for (const auto& [query, literal] : cases) {
+    EXPECT_EQ(client.EvalQuery(fig1a, query).status().code(),
+              StatusCode::kNotFound)
+        << query << " (cold)";
+    const auto warm = client.EvalQuery(fig1a, literal);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(client.EvalQuery(fig1a, query).status().code(),
+              StatusCode::kNotFound)
+        << query << " (after " << literal << " was cached)";
+  }
+  EXPECT_EQ(metrics.counter("semcache.hits")->value(), 0u);
   EXPECT_TRUE(server.Shutdown().ok());
 }
 

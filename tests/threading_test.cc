@@ -1,5 +1,5 @@
 // ResolveWorkerCount: the single shared worker-count policy used by
-// BatchComputeInvariants, BatchEvaluateQueries, and EvaluateParallel.
+// BatchComputeInvariants and the server's worker pool.
 
 #include <gtest/gtest.h>
 
