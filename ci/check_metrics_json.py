@@ -9,11 +9,11 @@ declares an unknown schema, or is missing the per-stage instrumentation
 the serving path is supposed to emit. Every histogram must carry the
 full v2 field set, including the interpolated "p95".
 
---require-semcache switches the expected series to the query planner /
-semantic-cache instrumentation (bench_query_plan's registry does not run
-the ingest pipeline, so the pipeline.* series are absent there): counters
-semcache.{hits,misses,evictions,insertions} and planner.plans, gauges
-semcache.{entries,bytes}, and the planner.plan_us histogram.
+--require-semcache switches the expected series to the query
+canonicalization / semantic-cache instrumentation that a catalog server's
+METRICS export carries after EVAL_QUERY (ci/run_ci.sh's catalog stage):
+counters semcache.{hits,misses,evictions,insertions} and planner.plans,
+gauges semcache.{entries,bytes}, and the planner.plan_us histogram.
 """
 import json
 import sys

@@ -18,8 +18,7 @@ SemanticCache::SemanticCache(SemanticCacheOptions options)
 std::string EvalOptionsFingerprint(const EvalOptions& options) {
   std::ostringstream os;
   os << "rc=" << options.max_region_candidates
-     << ";es=" << options.max_enumeration_steps
-     << ";p=" << (options.plan ? 1 : 0);
+     << ";es=" << options.max_enumeration_steps;
   return os.str();
 }
 
@@ -48,17 +47,29 @@ Result<bool> EvaluateQueryCached(const QueryEngine& engine,
   // folds `connect(Z, Z) and false` to `false`, so a warm `false` would
   // otherwise answer a query the engine rejects with NotFound.
   TOPODB_RETURN_NOT_OK(engine.ValidateAtomNames(*query));
+  // One canonicalization per request: its rendering is the key's query
+  // component, and a miss evaluates its AST.
+  FormulaPtr canonical;
   std::string key;
   {
     ScopedTimer timer(RegistryHistogram(options.metrics, "semcache.key_us"));
+    std::string rendering;
+    {
+      ScopedTimer plan_timer(
+          RegistryHistogram(options.metrics, "planner.plan_us"));
+      canonical = CanonicalizeQuery(query, &rendering);
+    }
+    CounterAdd(RegistryCounter(options.metrics, "planner.plans"));
     key = SemanticCacheKey(options.cache_entry_id,
-                           options.cache_format_version,
-                           CanonicalQueryKey(query), options);
+                           options.cache_format_version, rendering, options);
   }
   if (std::optional<bool> verdict = options.semantic_cache->Lookup(key)) {
     return *verdict;
   }
-  Result<bool> result = engine.Evaluate(query, options);
+  // Already canonical and name-checked: evaluate it as written.
+  EvalOptions written = options;
+  written.plan = false;
+  Result<bool> result = engine.Evaluate(canonical, written);
   // Errors are never cached: budget and deadline failures are properties
   // of this request's limits, not of the query.
   if (result.ok()) options.semantic_cache->Insert(std::move(key), *result);

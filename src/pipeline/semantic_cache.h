@@ -53,10 +53,11 @@ class SemanticCache : public BoundedCache<std::string, bool> {
 };
 
 // The verdict-relevant slice of EvalOptions, rendered deterministically:
-// the two budgets and the plan flag — everything that can move a
-// budget-exhaustion point. Deadline, cancel token and metrics sink are
-// excluded (they never change a successful verdict, and errors are not
-// cached).
+// the two budgets, the only options that can move a budget-exhaustion
+// point. The plan flag is excluded because a cached evaluation always
+// runs the canonical form; deadline, cancel token and metrics sink are
+// excluded because they never change a successful verdict, and errors
+// are not cached.
 std::string EvalOptionsFingerprint(const EvalOptions& options);
 
 // Full cache key: (entry_id, format_version, options fingerprint,
@@ -76,9 +77,12 @@ std::string SemanticCacheKey(uint64_t entry_id, uint32_t format_version,
 //   3. Fails with NotFound when an atom names a region the instance does
 //      not have (QueryEngine::ValidateAtomNames on the input query), warm
 //      or cold: the canonical key may have folded that atom away.
-//   4. On a hit, returns the cached verdict without evaluating: no
+//   4. Canonicalizes the query once (CanonicalizeQuery, counted and timed
+//      as planner.plans / planner.plan_us) and keys on its rendering.
+//   5. On a hit, returns the cached verdict without evaluating: no
 //      region-candidate or enumeration budget is consumed.
-//   5. On a miss, evaluates and caches the verdict only on success.
+//   6. On a miss, evaluates the canonical form, whatever options.plan
+//      says, and caches the verdict only on success.
 Result<bool> EvaluateQueryCached(const QueryEngine& engine,
                                  const FormulaPtr& query,
                                  const EvalOptions& options);

@@ -782,58 +782,39 @@ Status QueryEngine::ValidateAtomNames(const Formula& query) const {
   }
 }
 
-SelectivityStats QueryEngine::planner_stats() const {
-  SelectivityStats stats;
-  stats.num_names = static_cast<int64_t>(region_bits_.size());
-  stats.num_cells = static_cast<int64_t>(num_cells());
-  stats.num_faces = nf_;
-  stats.materialized_discs = cache_stats().materialized_discs;
-  return stats;
-}
-
-Result<bool> QueryEngine::EvaluatePlanned(const FormulaPtr& query,
-                                          const EvalOptions& options) const {
-  FormulaPtr planned = query;
-  if (options.plan) {
-    // Validate against the *input* query: canonicalization may simplify
-    // an unknown-name atom away entirely (phi and false -> false), and
-    // reordering may move it behind a short circuit; failing up front
-    // keeps "does this query error?" independent of the plan chosen.
-    TOPODB_RETURN_NOT_OK(ValidateAtomNames(*query));
-    {
-      ScopedTimer plan_timer(
-          RegistryHistogram(options.metrics, "planner.plan_us"));
-      planned = PlanQuery(query, planner_stats(), options.metrics);
-    }
-    CounterAdd(RegistryCounter(options.metrics, "planner.plans"));
-  }
-  BitsetEvaluator evaluator(*this, options);
-  BitsetEvaluator::Env env;
-  Result<bool> result = evaluator.Eval(planned, &env);
-  CounterAdd(RegistryCounter(options.metrics, "query.atoms"),
-             evaluator.atoms());
-  CounterAdd(RegistryCounter(options.metrics, "query.bindings"),
-             evaluator.bindings());
-  return result;
-}
-
 Result<bool> QueryEngine::Evaluate(const FormulaPtr& query,
                                    const EvalOptions& options) const {
-  // Entry checkpoint: an already-expired deadline rejects the evaluation
-  // before any work, whatever the query's shape. With metrics enabled the
-  // rejection still counts as an evaluation (and a deadline_exceeded).
-  const StopSignal stop(options.deadline, options.cancel);
-  if (options.metrics == nullptr) {
-    TOPODB_RETURN_NOT_OK(stop.Check());
-    return EvaluatePlanned(query, options);
-  }
-
   Result<bool> result = [&]() -> Result<bool> {
-    ScopedTimer latency(options.metrics->histogram("query.eval_us"));
-    Status entry = stop.Check();
-    if (!entry.ok()) return entry;
-    return EvaluatePlanned(query, options);
+    ScopedTimer latency(RegistryHistogram(options.metrics, "query.eval_us"));
+    // Entry checkpoint: an already-expired deadline rejects the evaluation
+    // before any work, whatever the query's shape. With metrics enabled
+    // the rejection still counts as an evaluation (and a
+    // deadline_exceeded).
+    TOPODB_RETURN_NOT_OK(StopSignal(options.deadline, options.cancel).Check());
+    FormulaPtr formula = query;
+    if (options.plan) {
+      // Validate against the *input* query: canonicalization may simplify
+      // an unknown-name atom away entirely (phi and false -> false), or
+      // move it behind a short circuit; failing up front keeps "does this
+      // query error?" independent of the order evaluated.
+      TOPODB_RETURN_NOT_OK(ValidateAtomNames(*query));
+      {
+        ScopedTimer plan_timer(
+            RegistryHistogram(options.metrics, "planner.plan_us"));
+        formula = CanonicalizeQuery(query);
+      }
+      CounterAdd(RegistryCounter(options.metrics, "planner.plans"));
+    }
+    BitsetEvaluator evaluator(*this, options);
+    BitsetEvaluator::Env env;
+    Result<bool> verdict = evaluator.Eval(formula, &env);
+    CounterAdd(RegistryCounter(options.metrics, "query.atoms"),
+               evaluator.atoms());
+    CounterAdd(RegistryCounter(options.metrics, "query.bindings"),
+               evaluator.bindings());
+    return verdict;
   }();
+  if (options.metrics == nullptr) return result;
   options.metrics->counter("query.evaluations")->Add(1);
   if (!result.ok() &&
       result.status().code() == StatusCode::kDeadlineExceeded) {

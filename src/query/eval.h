@@ -58,16 +58,15 @@ struct EvalOptions {
   // bindings explored, size of the shared range, per-query latency).
   // nullptr disables collection at near-zero cost.
   MetricsRegistry* metrics = nullptr;
-  // Run the planning pass (src/query/plan.h) before evaluation:
-  // canonicalize, then reorder commutative operands and same-kind
-  // quantifier runs by selectivity. Planned evaluation is
-  // verdict-identical to unplanned for queries whose atom region names
-  // all resolve (the differential suite pins this); to keep that true
-  // under short-circuit reordering, the planned path validates every
-  // atom's region-name constants up front and fails with the evaluator's
-  // NotFound before running anything. Off by default so the exact-oracle
-  // and differential paths exercise the written order; the server turns
-  // it on (ServerOptions::plan_queries).
+  // Evaluate the canonical form (CanonicalizeQuery, src/query/plan.h)
+  // instead of the written query; verdict-identical for queries whose
+  // atom region names all resolve (the differential suites pin this).
+  // Since canonicalization can fold an atom away or move it behind a
+  // short circuit, this path first validates the input's atom names and
+  // fails with the evaluator's NotFound. Off by default so the oracle and
+  // differential paths see the written order; the server sets it for
+  // inline-text EVAL_QUERY, and its cached path (EvaluateQueryCached)
+  // always evaluates the canonical form it built for the cache key.
   bool plan = false;
   // Semantic verdict cache plumbing, read only by EvaluateQueryCached
   // (pipeline/semantic_cache.h) — QueryEngine::Evaluate itself never
@@ -142,18 +141,15 @@ class QueryEngine {
   };
   CacheStats cache_stats() const;
 
-  // Selectivity inputs for the planning pass: name/cell/face counts of
-  // this instance's arrangement plus the size of the materialized
-  // region-quantifier range so far (0 before the first region
-  // quantifier runs). Cheap; safe to call per evaluation.
-  SelectivityStats planner_stats() const;
+  // Kept only for perfbench/replay.cc, which passes it to PlanQuery.
+  SelectivityStats planner_stats() const { return {}; }
 
   // NotFound for the first atom region-name constant that does not
   // resolve; OK otherwise. NameEq positions are skipped: unknown names
   // there are legal and simply compare unequal. Callers that rewrite a
   // query before evaluating it run this on the input first, since
-  // canonicalization can fold an unknown name away (the planned path of
-  // Evaluate, and EvaluateQueryCached before it builds its cache key).
+  // canonicalization can fold an unknown name away (Evaluate with
+  // options.plan, and EvaluateQueryCached before it builds its cache key).
   Status ValidateAtomNames(const Formula& query) const;
 
  private:
@@ -199,12 +195,6 @@ class QueryEngine {
   // Topological closure of an arbitrary cell set (union of per-cell
   // precomputed closures).
   CellSet ClosureBits(const CellSet& cells) const;
-
-  // Planning stage (options.plan) and the evaluator run behind the
-  // validated, instrumented Evaluate entry point: plans the query,
-  // pre-validates its atom region names, exports planner.* metrics.
-  Result<bool> EvaluatePlanned(const FormulaPtr& query,
-                               const EvalOptions& options) const;
 
   CellComplex complex_;
   // Cell ids: [0, nv) vertices, [nv, nv+ne) edges, [nv+ne, nv+ne+nf) faces.

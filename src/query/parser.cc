@@ -1,5 +1,6 @@
 #include "src/query/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <optional>
@@ -121,16 +122,22 @@ const std::map<std::string, Predicate>& PredicateTable() {
 
 bool IsKeyword(const std::string& s) { return IsQueryKeyword(s); }
 
+// A parsed subformula and its depth in kMaxQueryDepth's levels.
+struct Parsed {
+  FormulaPtr formula;
+  int depth = 1;
+};
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<FormulaPtr> Parse() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr formula, ParseIff());
+    TOPODB_ASSIGN_OR_RETURN(Parsed parsed, ParseIff());
     if (Peek().kind != Token::Kind::kEnd) {
       return Err("unexpected trailing input");
     }
-    return formula;
+    return parsed.formula;
   }
 
  private:
@@ -147,51 +154,79 @@ class Parser {
     return Status::ParseError(message + " at position " +
                               std::to_string(Peek().pos));
   }
+  Status TooDeep() const {
+    return Err("query nested deeper than " + std::to_string(kMaxQueryDepth) +
+               " levels");
+  }
 
-  Result<FormulaPtr> ParseIff() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr left, ParseImplies());
+  // `formula` one level above its deepest operand, of depth `inner`.
+  // Checked as each node is built, so a long chain fails at the bound
+  // instead of after building a tree too deep to destroy.
+  Result<Parsed> Wrap(FormulaPtr formula, int inner) const {
+    if (inner >= kMaxQueryDepth) return TooDeep();
+    return Parsed{std::move(formula), inner + 1};
+  }
+
+  // Called before recursing into a parenthesis, `not`, quantifier body or
+  // right operand of implies: each encloses its operand in one more
+  // level, so the parse stops at the bound before the recursion can
+  // exhaust the stack. An error ends the whole parse, so only successful
+  // recursions Close their level.
+  Status Open() { return ++open_ < kMaxQueryDepth ? Status::OK() : TooDeep(); }
+  void Close() { --open_; }
+
+  Result<Parsed> ParseIff() {
+    TOPODB_ASSIGN_OR_RETURN(Parsed left, ParseImplies());
     while (ConsumeIdent("iff")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr right, ParseImplies());
+      TOPODB_ASSIGN_OR_RETURN(Parsed right, ParseImplies());
       auto f = std::make_shared<Formula>();
       f->kind = Formula::Kind::kIff;
-      f->left = left;
-      f->right = right;
-      left = f;
+      f->left = left.formula;
+      f->right = right.formula;
+      TOPODB_ASSIGN_OR_RETURN(left,
+                              Wrap(f, std::max(left.depth, right.depth)));
     }
     return left;
   }
 
-  Result<FormulaPtr> ParseImplies() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr left, ParseOr());
+  Result<Parsed> ParseImplies() {
+    TOPODB_ASSIGN_OR_RETURN(Parsed left, ParseOr());
     if (ConsumeIdent("implies")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr right, ParseImplies());
-      return MakeImplies(std::move(left), std::move(right));
+      TOPODB_RETURN_NOT_OK(Open());
+      TOPODB_ASSIGN_OR_RETURN(Parsed right, ParseImplies());
+      Close();
+      return Wrap(MakeImplies(left.formula, right.formula),
+                  std::max(left.depth, right.depth));
     }
     return left;
   }
 
-  Result<FormulaPtr> ParseOr() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr left, ParseAnd());
+  Result<Parsed> ParseOr() {
+    TOPODB_ASSIGN_OR_RETURN(Parsed left, ParseAnd());
     while (ConsumeIdent("or")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr right, ParseAnd());
-      left = MakeOr(std::move(left), std::move(right));
+      TOPODB_ASSIGN_OR_RETURN(Parsed right, ParseAnd());
+      TOPODB_ASSIGN_OR_RETURN(left, Wrap(MakeOr(left.formula, right.formula),
+                                         std::max(left.depth, right.depth)));
     }
     return left;
   }
 
-  Result<FormulaPtr> ParseAnd() {
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr left, ParseUnary());
+  Result<Parsed> ParseAnd() {
+    TOPODB_ASSIGN_OR_RETURN(Parsed left, ParseUnary());
     while (ConsumeIdent("and")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr right, ParseUnary());
-      left = MakeAnd(std::move(left), std::move(right));
+      TOPODB_ASSIGN_OR_RETURN(Parsed right, ParseUnary());
+      TOPODB_ASSIGN_OR_RETURN(left, Wrap(MakeAnd(left.formula, right.formula),
+                                         std::max(left.depth, right.depth)));
     }
     return left;
   }
 
-  Result<FormulaPtr> ParseUnary() {
+  Result<Parsed> ParseUnary() {
     if (ConsumeIdent("not")) {
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr inner, ParseUnary());
-      return MakeNot(std::move(inner));
+      TOPODB_RETURN_NOT_OK(Open());
+      TOPODB_ASSIGN_OR_RETURN(Parsed inner, ParseUnary());
+      Close();
+      return Wrap(MakeNot(inner.formula), inner.depth);
     }
     if (Peek().kind == Token::Kind::kIdent &&
         (Peek().text == "exists" || Peek().text == "forall")) {
@@ -200,7 +235,7 @@ class Parser {
     return ParsePrimary();
   }
 
-  Result<FormulaPtr> ParseQuantifier() {
+  Result<Parsed> ParseQuantifier() {
     const bool exists = Next().text == "exists";
     Formula::VarKind var_kind;
     if (ConsumeIdent("region")) {
@@ -226,23 +261,30 @@ class Parser {
       return Err("expected '.' after quantified variable");
     }
     Next();
+    TOPODB_RETURN_NOT_OK(Open());
     bound_.insert(var);
     // The body extends as far right as possible.
-    Result<FormulaPtr> body = ParseIff();
+    Result<Parsed> body = ParseIff();
     bound_.erase(var);
-    TOPODB_ASSIGN_OR_RETURN(FormulaPtr b, std::move(body));
-    return MakeQuantifier(
-        exists ? Formula::Kind::kExists : Formula::Kind::kForall, var_kind,
-        std::move(var), std::move(b));
+    TOPODB_ASSIGN_OR_RETURN(Parsed b, std::move(body));
+    Close();
+    return Wrap(MakeQuantifier(
+                    exists ? Formula::Kind::kExists : Formula::Kind::kForall,
+                    var_kind, std::move(var), b.formula),
+                b.depth);
   }
 
-  Result<FormulaPtr> ParsePrimary() {
+  Result<Parsed> ParsePrimary() {
     if (Peek().kind == Token::Kind::kLParen) {
       Next();
-      TOPODB_ASSIGN_OR_RETURN(FormulaPtr inner, ParseIff());
+      TOPODB_RETURN_NOT_OK(Open());
+      TOPODB_ASSIGN_OR_RETURN(Parsed inner, ParseIff());
+      Close();
       if (Peek().kind != Token::Kind::kRParen) return Err("expected ')'");
       Next();
-      return inner;
+      // A parenthesis adds no AST node, but counts as a level: that keeps
+      // the parser's own recursion within the bound.
+      return Wrap(inner.formula, inner.depth);
     }
     // A quoted term can only start a name-equality atom ("1a" = b):
     // predicate names are identifiers, and a quoted term is always a
@@ -255,18 +297,18 @@ class Parser {
       }
       Next();
       TOPODB_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
-      return MakeNameEq(std::move(lhs), std::move(rhs));
+      return Parsed{MakeNameEq(std::move(lhs), std::move(rhs))};
     }
     if (Peek().kind != Token::Kind::kIdent) return Err("expected formula");
     if (ConsumeIdent("true")) {
       auto f = std::make_shared<Formula>();
       f->kind = Formula::Kind::kTrue;
-      return FormulaPtr(f);
+      return Parsed{f};
     }
     if (ConsumeIdent("false")) {
       auto f = std::make_shared<Formula>();
       f->kind = Formula::Kind::kFalse;
-      return FormulaPtr(f);
+      return Parsed{f};
     }
     // Predicate atom?
     auto pred_it = PredicateTable().find(Peek().text);
@@ -282,7 +324,7 @@ class Parser {
       TOPODB_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
       if (Peek().kind != Token::Kind::kRParen) return Err("expected ')'");
       Next();
-      return MakeAtom(pred_it->second, std::move(lhs), std::move(rhs));
+      return Parsed{MakeAtom(pred_it->second, std::move(lhs), std::move(rhs))};
     }
     // Name equality atom: term = term.
     TOPODB_ASSIGN_OR_RETURN(Term lhs, ParseTerm());
@@ -291,7 +333,7 @@ class Parser {
     }
     Next();
     TOPODB_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
-    return MakeNameEq(std::move(lhs), std::move(rhs));
+    return Parsed{MakeNameEq(std::move(lhs), std::move(rhs))};
   }
 
   Result<Term> ParseTerm() {
@@ -311,6 +353,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int open_ = 0;  // Levels opened above the current parse point.
   std::set<std::string> bound_;
 };
 

@@ -39,7 +39,17 @@ namespace topodb {
 // ("cell", "exists"). Inside quotes, \" yields a double quote and \\ a
 // backslash; any other escape is a parse error. Quantified variables must
 // still be plain identifiers.
+//
+// A query nested deeper than kMaxQueryDepth is a ParseError.
 Result<FormulaPtr> ParseQuery(const std::string& text);
+
+// The deepest query ParseQuery accepts. Each parenthesis, `not`,
+// quantifier and binary connective adds one level, so a chain of n
+// operators is n levels deep whatever its associativity. The parser,
+// canonicalization, ToString, name validation, the evaluators and the
+// AST destructor all recurse on depth; the bound keeps them within a
+// thread's stack whatever the query text.
+inline constexpr int kMaxQueryDepth = 256;
 
 // True for reserved words of the language (quantifiers, connectives, sort
 // names and predicate names); such words only denote regions when quoted.

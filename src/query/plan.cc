@@ -1,7 +1,6 @@
 #include "src/query/plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <set>
 #include <string>
@@ -86,7 +85,9 @@ void AppendFormulaKey(const Formula& f, std::vector<std::string>* binders,
       out->push_back(')');
       return;
     case Kind::kNameEq:
-      out->append("N(");
+      // '@' < 'A' < 'E': a sorted chain tests its name equalities (string
+      // compares) before its atoms, and both before its quantifiers.
+      out->append("@(");
       AppendTermKey(f.lhs, *binders, out);
       out->push_back(',');
       AppendTermKey(f.rhs, *binders, out);
@@ -275,10 +276,13 @@ class Canonicalizer {
     if (a->kind == Kind::kTrue) return Canon(f.right, neg);
     if (a->kind == Kind::kFalse) return Canon(f.right, !neg);
     FormulaPtr b = Canon(f.right, false);
-    // Same for a constant right side; re-canonicalizing the original left
-    // operand keeps the result in NNF (a bare MakeNot would not).
-    if (b->kind == Kind::kTrue) return Canon(f.left, neg);
-    if (b->kind == Kind::kFalse) return Canon(f.left, !neg);
+    // Same for a constant right side. Negate the canonical `a` (it has no
+    // constant iff operand left, so this is linear) rather than
+    // re-canonicalizing f.left, which would double the work per level of
+    // a left-nested `(... iff true) iff true` chain. Canon, unlike a bare
+    // MakeNot, keeps the result in NNF.
+    if (b->kind == Kind::kTrue) return neg ? Canon(a, true) : a;
+    if (b->kind == Kind::kFalse) return neg ? a : Canon(a, true);
     bool parity = neg;
     while (a->kind == Kind::kNot) {
       a = a->left;
@@ -479,170 +483,6 @@ FormulaPtr RenameBinders(const FormulaPtr& f,
   return f;
 }
 
-// ---------------------------------------------------------------------
-// Cost model.
-
-double RangeEstimate(VarKind kind, const SelectivityStats& stats) {
-  switch (kind) {
-    case VarKind::kName:
-      return static_cast<double>(std::max<int64_t>(stats.num_names, 1));
-    case VarKind::kCell:
-    case VarKind::kRect:
-      return static_cast<double>(std::max<int64_t>(stats.num_cells, 1));
-    case VarKind::kRegion:
-      if (stats.materialized_discs > 0) {
-        return static_cast<double>(stats.materialized_discs);
-      }
-      // Unknown until the shared range materializes; the Section-7 range
-      // is exponential in the face count, so guess big (saturating) to
-      // keep region quantifiers innermost until real counts exist.
-      return std::max(
-          64.0, std::pow(2.0, std::min<int64_t>(stats.num_faces, 24)));
-  }
-  return 1.0;
-}
-
-double CostOf(const Formula& f, const SelectivityStats& stats) {
-  constexpr double kCap = 1e18;
-  switch (f.kind) {
-    case Kind::kTrue:
-    case Kind::kFalse:
-      return 0.0;
-    case Kind::kNameEq:
-      return 1.0;
-    case Kind::kAtom:
-      return 2.0;  // Cell-set work; pricier than a string compare.
-    case Kind::kNot:
-      return CostOf(*f.left, stats);
-    case Kind::kAnd:
-    case Kind::kOr:
-    case Kind::kImplies:
-    case Kind::kIff:
-      return std::min(kCap, CostOf(*f.left, stats) + CostOf(*f.right, stats));
-    case Kind::kExists:
-    case Kind::kForall: {
-      const double range = RangeEstimate(f.var_kind, stats);
-      return std::min(kCap, range * (1.0 + CostOf(*f.body, stats)));
-    }
-  }
-  return 1.0;
-}
-
-// ---------------------------------------------------------------------
-// Cost-driven reordering (stage 2). Only rewrites that commute under
-// the evaluators' short-circuit order are applied: permuting and/or
-// chains and same-kind quantifier runs.
-
-class Reorderer {
- public:
-  Reorderer(const SelectivityStats& stats, MetricsRegistry* metrics)
-      : stats_(stats),
-        reordered_operands_(
-            RegistryCounter(metrics, "planner.reordered_operands")),
-        reordered_quantifiers_(
-            RegistryCounter(metrics, "planner.reordered_quantifiers")) {}
-
-  FormulaPtr Run(const FormulaPtr& f) {
-    switch (f->kind) {
-      case Kind::kTrue:
-      case Kind::kFalse:
-      case Kind::kAtom:
-      case Kind::kNameEq:
-        return f;
-      case Kind::kNot:
-        return MakeNot(Run(f->left));
-      case Kind::kImplies:
-      case Kind::kIff: {
-        auto out = std::make_shared<Formula>();
-        out->kind = f->kind;
-        out->left = Run(f->left);
-        out->right = Run(f->right);
-        return out;
-      }
-      case Kind::kAnd:
-      case Kind::kOr:
-        return ReorderChain(f);
-      case Kind::kExists:
-      case Kind::kForall:
-        return ReorderBlock(f);
-    }
-    return f;
-  }
-
- private:
-  FormulaPtr ReorderChain(const FormulaPtr& f) {
-    const Kind kind = f->kind;
-    std::vector<FormulaPtr> flat;
-    FlattenInto(kind, f, &flat);
-    for (auto& c : flat) c = Run(c);
-    // Cheapest operand first: short-circuiting resolves most bindings on
-    // the cheap filters before any expensive subquery runs. Stable, so
-    // equal costs keep the canonical order (deterministic plans).
-    std::vector<size_t> order(flat.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::vector<double> costs(flat.size());
-    for (size_t i = 0; i < flat.size(); ++i) costs[i] = CostOf(*flat[i], stats_);
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return costs[a] < costs[b];
-    });
-    bool changed = false;
-    for (size_t i = 0; i < order.size(); ++i) changed |= order[i] != i;
-    if (changed) CounterAdd(reordered_operands_);
-    FormulaPtr out = flat[order[0]];
-    for (size_t i = 1; i < order.size(); ++i) {
-      out = kind == Kind::kAnd ? MakeAnd(std::move(out), flat[order[i]])
-                               : MakeOr(std::move(out), flat[order[i]]);
-    }
-    return out;
-  }
-
-  FormulaPtr ReorderBlock(const FormulaPtr& f) {
-    const Kind kind = f->kind;
-    std::vector<std::pair<VarKind, std::string>> block;
-    FormulaPtr tail = f;
-    while (tail->kind == kind) {
-      block.emplace_back(tail->var_kind, tail->var);
-      tail = tail->body;
-    }
-    FormulaPtr body = Run(tail);
-    // Narrowest range outermost: same-kind quantifiers commute, and the
-    // cheap loop outside means fewer instantiations of the pricey one.
-    std::vector<size_t> order(block.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return RangeEstimate(block[a].first, stats_) <
-             RangeEstimate(block[b].first, stats_);
-    });
-    bool changed = false;
-    for (size_t i = 0; i < order.size(); ++i) changed |= order[i] != i;
-    if (changed) CounterAdd(reordered_quantifiers_);
-    FormulaPtr out = std::move(body);
-    for (size_t i = order.size(); i-- > 0;) {
-      out = MakeQuantifier(kind, block[order[i]].first, block[order[i]].second,
-                           std::move(out));
-    }
-    return out;
-  }
-
-  static void FlattenInto(Kind kind, const FormulaPtr& f,
-                          std::vector<FormulaPtr>* out) {
-    if (f->kind == kind) {
-      FlattenInto(kind, f->left, out);
-      FlattenInto(kind, f->right, out);
-      return;
-    }
-    out->push_back(f);
-  }
-
-  const SelectivityStats& stats_;
-  Counter* reordered_operands_;
-  Counter* reordered_quantifiers_;
-};
-
-}  // namespace
-
-namespace {
-
 FormulaPtr CanonicalizeOnce(const FormulaPtr& query) {
   Canonicalizer canon;
   FormulaPtr out = canon.Run(query);
@@ -653,7 +493,7 @@ FormulaPtr CanonicalizeOnce(const FormulaPtr& query) {
 
 }  // namespace
 
-FormulaPtr CanonicalizeQuery(const FormulaPtr& query) {
+FormulaPtr CanonicalizeQuery(const FormulaPtr& query, std::string* rendering) {
   // One pass is not idempotent: symmetric-atom operands and connective
   // chains are sorted under de Bruijn indices of the binder order seen
   // *during* the pass, and quantifier-block permutation afterwards can
@@ -670,23 +510,18 @@ FormulaPtr CanonicalizeQuery(const FormulaPtr& query) {
     cur = std::move(next);
     key = std::move(next_key);
   }
+  if (rendering != nullptr) *rendering = std::move(key);
   return cur;
 }
 
 std::string CanonicalQueryKey(const FormulaPtr& query) {
-  return CanonicalizeQuery(query)->ToString();
+  std::string key;
+  CanonicalizeQuery(query, &key);
+  return key;
 }
 
-FormulaPtr PlanQuery(const FormulaPtr& query, const SelectivityStats& stats,
-                     MetricsRegistry* metrics) {
-  FormulaPtr canonical = CanonicalizeQuery(query);
-  Reorderer reorder(stats, metrics);
-  return reorder.Run(canonical);
-}
-
-double EstimateQueryCost(const FormulaPtr& query,
-                         const SelectivityStats& stats) {
-  return CostOf(*query, stats);
+FormulaPtr PlanQuery(const FormulaPtr& query, const SelectivityStats&) {
+  return CanonicalizeQuery(query);
 }
 
 }  // namespace topodb

@@ -400,7 +400,7 @@ struct TopoDbServer::Impl {
         eval.deadline = item.deadline;
         eval.cancel = &drain_cancel;
         eval.metrics = registry;
-        eval.plan = options.plan_queries;
+        eval.plan = true;  // Every path evaluates the canonical form.
         if (ref.kind == InstanceRef::Kind::kCatalogName) {
           TOPODB_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogEntry> entry,
                                   FindCatalogEntry(ref.value));

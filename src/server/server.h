@@ -61,15 +61,12 @@ struct ServerOptions {
   std::chrono::milliseconds drain_timeout{2000};
   // Per-evaluation knobs for EVAL_QUERY (the enumeration budgets).
   // Deadline/cancel/metrics fields are overwritten per request, as are
-  // the plan flag and the semantic-cache plumbing (see below).
+  // the plan flag (always on) and the semantic-cache plumbing (see
+  // below).
   EvalOptions eval;
-  // Run the query-planning pass (src/query/plan.h) on every EVAL_QUERY:
-  // canonicalize, then reorder commutative operands and quantifier runs
-  // by selectivity. Planned evaluation is verdict-identical to unplanned
-  // (the differential suite pins this); on by default for serving, and
-  // deliberately defaulted *off* in EvalOptions itself so oracle and
-  // differential paths see the written query order.
-  bool plan_queries = true;
+  // Not an option: every EVAL_QUERY evaluates the canonical form
+  // (src/query/plan.h). Kept only because perfbench/replay.cc reads it.
+  static constexpr bool plan_queries = true;
   // Serve repeated catalog-backed EVAL_QUERY requests from the semantic
   // verdict cache (src/pipeline/semantic_cache.h). Only catalog refs are
   // cached — inline text has no durable identity. Entry/byte bounds;

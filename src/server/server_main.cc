@@ -4,7 +4,7 @@
 // admitted request was answered before the process left.
 //
 // Usage: topodb_server [--port N] [--workers N] [--queue N] [--drain-ms N]
-//                      [--catalog DIR] [--no-plan] [--no-semcache]
+//                      [--catalog DIR] [--no-semcache]
 //                      [--semcache-entries N] [--no-textcache]
 //                      [--text-cache-entries N]
 //
@@ -62,8 +62,6 @@ int main(int argc, char** argv) {
           std::chrono::milliseconds(ParseLongOrDie(arg, argv[++i]));
     } else if (std::strcmp(arg, "--catalog") == 0 && has_value) {
       catalog_dir = argv[++i];
-    } else if (std::strcmp(arg, "--no-plan") == 0) {
-      options.plan_queries = false;
     } else if (std::strcmp(arg, "--no-semcache") == 0) {
       options.semantic_cache_entries = 0;
     } else if (std::strcmp(arg, "--semcache-entries") == 0 && has_value) {
@@ -78,7 +76,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: topodb_server [--port N] [--workers N] "
                    "[--queue N] [--drain-ms N] [--catalog DIR] "
-                   "[--no-plan] [--no-semcache] [--semcache-entries N] "
+                   "[--no-semcache] [--semcache-entries N] "
                    "[--no-textcache] [--text-cache-entries N]\n");
       return 2;
     }

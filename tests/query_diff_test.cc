@@ -58,13 +58,13 @@ std::vector<SpatialInstance> DiffWorkload() {
 // Evaluates the query with both strategies, the reference evaluator and
 // the engine, and asserts the outcomes are interchangeable: same verdict
 // on success, same status code and message on failure. With
-// options.plan the engine evaluates PlanQuery's output, so the reference
-// gets that formula too, planned from the same stats.
+// options.plan the engine evaluates CanonicalizeQuery's output, so the
+// reference gets that formula too.
 void ExpectStrategiesAgree(const QueryEngine& engine, const std::string& query,
                            const EvalOptions& options = {}) {
   const FormulaPtr written = *ParseQuery(query);
   const FormulaPtr planned =
-      options.plan ? PlanQuery(written, engine.planner_stats()) : written;
+      options.plan ? CanonicalizeQuery(written) : written;
   Result<bool> a = ReferenceEngine(engine.complex()).Evaluate(planned, options);
   Result<bool> b = engine.Evaluate(written, options);
   ASSERT_EQ(a.ok(), b.ok()) << query
@@ -98,10 +98,10 @@ TEST(QueryDiffTest, StrategiesAgreeOnPaperExamples) {
   }
 }
 
-// The planner (EvalOptions::plan) is a pure rewrite stage: the planned
-// evaluation must return exactly the verdict of the unplanned one. Run
-// the full differential workload with and without planning and require
-// identical outcomes pairwise.
+// Canonicalization (EvalOptions::plan) is a pure rewrite: evaluating the
+// canonical form must return exactly the verdict of the written one. Run
+// the full differential workload both ways and require identical
+// outcomes pairwise.
 TEST(QueryDiffTest, PlannedMatchesUnplannedAcrossStrategiesAndWorkload) {
   for (const SpatialInstance& instance : DiffWorkload()) {
     QueryEngine engine = *QueryEngine::Build(instance);

@@ -1,8 +1,9 @@
-// Tests for the planning pass (src/query/plan.h): canonical-form
+// Tests for query canonicalization (src/query/plan.h): canonical-form
 // equivalence merging, fixpoint/round-trip stability of canonical keys
 // (they are the semantic-cache key, so they must be byte-stable),
-// randomized Parse-o-ToString fuzz over adversarial ASTs, and the
-// planned-vs-unplanned differential contract.
+// randomized Parse-o-ToString fuzz over adversarial ASTs, the evaluation
+// order the canonical form implies, and the canonical-vs-written
+// differential contract.
 
 #include "src/query/plan.h"
 
@@ -275,18 +276,17 @@ TEST(QueryPlanTest, RandomizedCanonicalKeyIsStableThroughReparse) {
 }
 
 // ---------------------------------------------------------------------
-// Planned-vs-unplanned differential: for queries whose names resolve,
-// planning must not change any verdict, neither the engine's nor that of
-// the reference evaluator (tests/reference_eval.h) run on PlanQuery's
-// output.
+// Canonical-vs-written differential: for queries whose names resolve,
+// evaluating the canonical form must not change any verdict, neither the
+// engine's (EvalOptions::plan) nor that of the reference evaluator
+// (tests/reference_eval.h) run on CanonicalizeQuery's output.
 
 void ExpectPlannedMatchesUnplanned(const QueryEngine& engine,
                                    const std::string& query) {
   const FormulaPtr written = *ParseQuery(query);
   const ReferenceEngine reference(engine.complex());
   Result<bool> a = reference.Evaluate(written);
-  Result<bool> b =
-      reference.Evaluate(PlanQuery(written, engine.planner_stats()));
+  Result<bool> b = reference.Evaluate(CanonicalizeQuery(written));
   ASSERT_TRUE(a.ok()) << query << ": " << a.status().ToString();
   ASSERT_TRUE(b.ok()) << query << ": " << b.status().ToString();
   EXPECT_EQ(*a, *b) << query << " (reference)";
@@ -391,45 +391,59 @@ TEST(QueryPlanTest, PlannedEvaluationValidatesAtomNamesUpFront) {
   EXPECT_FALSE(*nameeq);
 }
 
-TEST(QueryPlanTest, PlanIsDeterministicAndOrdersByCost) {
-  SelectivityStats stats;
-  stats.num_names = 3;
-  stats.num_cells = 25;
-  stats.num_faces = 8;
-  const FormulaPtr q = *ParseQuery(
-      "exists region r . exists name a . subset(r, a) and "
-      "(exists region s . subset(s, r))");
-  const FormulaPtr p1 = PlanQuery(q, stats);
-  const FormulaPtr p2 = PlanQuery(q, stats);
-  EXPECT_EQ(p1->ToString(), p2->ToString());
-  // In an unbroken block, the cheap name quantifier becomes the outer
-  // loop.
-  const FormulaPtr block =
-      PlanQuery(*ParseQuery("exists region r . exists name a . subset(r, a)"),
-                stats);
+// The canonical form is the evaluation order, with no cost model: the
+// structural key puts name binders outside region binders in a
+// quantifier block, and name equalities ('@...') and atoms ('A...')
+// ahead of quantified operands ('E...'/'U...') in an and/or chain, so
+// the short-circuiting evaluator tries the cheap operands first.
+TEST(QueryPlanTest, CanonicalOrderRunsNameBindersAndCheapOperandsFirst) {
+  const FormulaPtr block = CanonicalizeQuery(
+      *ParseQuery("exists region r . exists name a . subset(r, a)"));
   ASSERT_EQ(block->kind, Formula::Kind::kExists);
   EXPECT_EQ(block->var_kind, Formula::VarKind::kName);
-  // With inverted cardinalities the reorder flips: fewer cells than
-  // names puts the cell quantifier outermost.
-  SelectivityStats inverted;
-  inverted.num_names = 100;
-  inverted.num_cells = 10;
-  inverted.num_faces = 8;
-  const FormulaPtr flipped = PlanQuery(
-      *ParseQuery("exists name a . exists cell c . subset(c, a)"), inverted);
-  ASSERT_EQ(flipped->kind, Formula::Kind::kExists);
-  EXPECT_EQ(flipped->var_kind, Formula::VarKind::kCell);
-  // Cost model sanity: region ranges dominate name ranges.
-  EXPECT_GT(EstimateQueryCost(*ParseQuery("exists region r . connect(r, r)"),
-                              stats),
-            EstimateQueryCost(*ParseQuery("exists name a . connect(a, a)"),
-                              stats));
-  // A cheap atom sorts ahead of an expensive quantified conjunct.
-  const FormulaPtr conj = PlanQuery(
-      *ParseQuery("(exists region s . subset(s, A)) and connect(A, B)"),
-      stats);
+  const FormulaPtr conj = CanonicalizeQuery(
+      *ParseQuery("(exists region s . subset(s, A)) and connect(A, B)"));
   ASSERT_EQ(conj->kind, Formula::Kind::kAnd);
   EXPECT_EQ(conj->left->kind, Formula::Kind::kAtom);
+  const FormulaPtr filter = CanonicalizeQuery(*ParseQuery(
+      "exists name a . (exists region r . subset(r, a)) and a = A"));
+  ASSERT_EQ(filter->kind, Formula::Kind::kExists);
+  ASSERT_EQ(filter->body->kind, Formula::Kind::kAnd);
+  EXPECT_EQ(filter->body->left->kind, Formula::Kind::kNameEq);
+  // The written order runs the inner region quantifier before the
+  // always-true atom on every binding; the canonical order skips it.
+  const FormulaPtr shortcircuit = CanonicalizeQuery(
+      *ParseQuery("forall region r . ((exists region s . not connect(s, r)) "
+                  "or connect(r, r))"));
+  ASSERT_EQ(shortcircuit->kind, Formula::Kind::kForall);
+  ASSERT_EQ(shortcircuit->body->kind, Formula::Kind::kOr);
+  EXPECT_EQ(shortcircuit->body->left->kind, Formula::Kind::kAtom);
+}
+
+// An iff with a constant operand reduces to the other operand or its
+// negation. Canonicalizing the left operand twice per level would make a
+// 64-level left-nested chain take 2^64 steps; right-nested chains are
+// linear either way.
+TEST(QueryPlanTest, ConstantIffChainsCanonicalizeInLinearTime) {
+  const std::string atom = "connect(A, B)";
+  for (const std::string constant : {"true", "false"}) {
+    for (const int levels : {64, 65}) {
+      std::string left = atom;
+      std::string right = atom;
+      for (int i = 0; i < levels; ++i) {
+        left = "(" + left + " iff " + constant + ")";
+        right = "(" + constant + " iff " + right + ")";
+      }
+      // `x iff false` is `not x`: an odd number of them negates.
+      const bool negated = constant == "false" && levels % 2 == 1;
+      const std::string expected = negated ? "not (" + atom + ")" : atom;
+      for (const std::string& chain : {left, right}) {
+        const std::string key = KeyOf(chain);
+        EXPECT_EQ(key, expected) << chain;
+        EXPECT_EQ(KeyOf(key), key);
+      }
+    }
+  }
 }
 
 }  // namespace

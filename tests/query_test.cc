@@ -1,8 +1,12 @@
 #include "src/query/eval.h"
 
+#include <functional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/query/parser.h"
+#include "src/query/plan.h"
 #include "src/region/fixtures.h"
 #include "tests/reference_eval.h"
 
@@ -138,6 +142,59 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseQuery("frobnicate(A, B)").ok());
   EXPECT_FALSE(ParseQuery("exists region r . exists region r . true").ok());
   EXPECT_FALSE(ParseQuery("@").ok());
+}
+
+// kMaxQueryDepth in the three shapes whose depth only the text limits:
+// nested parentheses and leading `not`s recurse in the parser, and a long
+// `and` chain, which the parser builds in a loop, recurses in every pass
+// after it. At the bound each shape parses, canonicalizes and evaluates;
+// one level past it, and far past it, is a ParseError naming the bound.
+TEST(ParserTest, DepthBoundHoldsForEveryNestingShape) {
+  const std::string atom = "connect(A, B)";
+  const std::function<std::string(int)> shapes[] = {
+      [&](int levels) {
+        return std::string(levels - 1, '(') + atom +
+               std::string(levels - 1, ')');
+      },
+      [&](int levels) {
+        std::string query;
+        for (int i = 1; i < levels; ++i) query += "not ";
+        return query + atom;
+      },
+      [&](int levels) {
+        std::string query = atom;
+        for (int i = 1; i < levels; ++i) query += " and " + atom;
+        return query;
+      },
+  };
+  const QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
+  const bool truth = *engine.Evaluate(atom);
+  for (size_t shape = 0; shape < std::size(shapes); ++shape) {
+    const Result<FormulaPtr> deepest =
+        ParseQuery(shapes[shape](kMaxQueryDepth));
+    ASSERT_TRUE(deepest.ok()) << shape << ": " << deepest.status().ToString();
+    // Only the `not` shape changes the verdict: 255 negations flip it.
+    const bool negated = shape == 1 && (kMaxQueryDepth - 1) % 2 == 1;
+    EXPECT_EQ(CanonicalQueryKey(*deepest),
+              negated ? "not (" + atom + ")" : atom)
+        << shape;
+    EvalOptions planned;
+    planned.plan = true;
+    for (const EvalOptions& options : {EvalOptions{}, planned}) {
+      const Result<bool> verdict = engine.Evaluate(*deepest, options);
+      ASSERT_TRUE(verdict.ok())
+          << shape << ": " << verdict.status().ToString();
+      EXPECT_EQ(*verdict, truth != negated) << shape;
+    }
+    for (const int levels : {kMaxQueryDepth + 1, 100000}) {
+      const Status status = ParseQuery(shapes[shape](levels)).status();
+      EXPECT_EQ(status.code(), StatusCode::kParseError)
+          << shape << ", " << levels;
+      EXPECT_NE(status.message().find(std::to_string(kMaxQueryDepth)),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
 }
 
 // --- Evaluation: paper examples ---

@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "src/pipeline/semantic_cache.h"
 #include "src/query/eval.h"
 #include "src/region/fixtures.h"
+#include "src/workload/generators.h"
 
 namespace topodb {
 namespace {
@@ -57,12 +59,13 @@ TEST(SemanticCacheTest, KeySeparatesEntryIdentityAndOptions) {
   other = base;
   other.max_enumeration_steps = 1;
   EXPECT_NE(SemanticCacheKey(7, 1, canonical, other), key);
+
+  // ...while the plan flag does not (a cached evaluation always runs the
+  // canonical form), nor do the wall-clock knobs: a verdict is equally
+  // valid under any deadline, and admission checks handle expiry.
   other = base;
   other.plan = true;
-  EXPECT_NE(SemanticCacheKey(7, 1, canonical, other), key);
-
-  // ...while the wall-clock knobs do not: a verdict is equally valid
-  // under any deadline, and admission checks handle expiry.
+  EXPECT_EQ(SemanticCacheKey(7, 1, canonical, other), key);
   other = base;
   other.deadline = Deadline::AfterMillis(1);
   CancelToken cancel;
@@ -96,6 +99,91 @@ TEST(SemanticCacheTest, EquivalentQueriesShareOneEntry) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 3u);
+}
+
+// One canonicalization per request, hit or miss: it builds the key, and
+// a miss evaluates its output instead of rewriting the query again.
+TEST(SemanticCacheTest, EachCallCanonicalizesExactlyOnce) {
+  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
+  SemanticCache cache;
+  MetricsRegistry registry;
+  EvalOptions eval;
+  eval.semantic_cache = &cache;
+  eval.cache_entry_id = 42;
+  eval.metrics = &registry;
+  const char* spellings[] = {
+      "exists region r . subset(r, A) and subset(r, B)",  // Miss.
+      "exists region s . subset(s, B) and subset(s, A)",  // Hit.
+      "exists region r . subset(r, A) and subset(r, B)",  // Hit.
+      "connect(A, B)",                                    // Miss.
+  };
+  for (const bool plan : {false, true}) {
+    eval.plan = plan;
+    for (const char* spelling : spellings) {
+      const uint64_t before = registry.counter("planner.plans")->value();
+      ASSERT_TRUE(EvaluateQueryCached(engine, spelling, eval).ok());
+      EXPECT_EQ(registry.counter("planner.plans")->value(), before + 1)
+          << spelling << " (plan " << plan << ")";
+    }
+  }
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().hits, 6u);
+  EXPECT_EQ(registry.histogram("planner.plan_us")->count(), 8u);
+}
+
+// Families of equivalent spellings (operand flips, dualized quantifiers,
+// renamed binders, permuted conjuncts, double negation, and a short
+// circuit the canonical order takes): every spelling gives one verdict as
+// written, as the canonical form and through the cache, and each family
+// occupies exactly one cache entry.
+TEST(SemanticCacheTest, SpellingFamiliesShareOneVerdictAndOneEntry) {
+  struct Family {
+    SpatialInstance instance;
+    std::vector<std::string> spellings;
+  };
+  const Family families[] = {
+      {*ChainInstance(2),
+       {"forall region r . exists region s . not connect(r, s)",
+        "forall region r . exists region s . not connect(s, r)",
+        "not (exists region r . forall region s . connect(r, s))",
+        "forall region t . exists region u . not connect(t, u)"}},
+      {Fig1bInstance(),
+       {"exists region r . subset(r, A) and subset(r, B) and subset(r, C)",
+        "exists region r . subset(r, C) and subset(r, A) and subset(r, B)",
+        "not (not (exists region r . subset(r, B) and subset(r, C) "
+        "and subset(r, A)))"}},
+      {*RectGridInstance(1, 2),
+       {"forall region r . exists region s . not connect(r, s)",
+        "not (exists region r . forall region s . not (not connect(r, "
+        "s)))"}},
+      {*ChainInstance(2),
+       {"forall region r . ((exists region s . not connect(s, r)) "
+        "or connect(r, r))"}},
+  };
+  for (const Family& family : families) {
+    QueryEngine engine = *QueryEngine::Build(family.instance);
+    SemanticCache cache;
+    EvalOptions written;
+    EvalOptions planned;
+    planned.plan = true;
+    EvalOptions cached;
+    cached.semantic_cache = &cache;
+    cached.cache_entry_id = 1;
+    const bool truth = *engine.Evaluate(family.spellings.front(), written);
+    for (const std::string& spelling : family.spellings) {
+      for (const EvalOptions& options : {written, planned}) {
+        const Result<bool> verdict = engine.Evaluate(spelling, options);
+        ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+        EXPECT_EQ(*verdict, truth) << spelling << " (plan " << options.plan
+                                   << ")";
+      }
+      const Result<bool> verdict =
+          EvaluateQueryCached(engine, spelling, cached);
+      ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+      EXPECT_EQ(*verdict, truth) << spelling << " (cached)";
+    }
+    EXPECT_EQ(cache.size(), 1u) << family.spellings.front();
+  }
 }
 
 TEST(SemanticCacheTest, UnknownNamesStayNotFoundAfterAFoldedVerdictIsCached) {

@@ -131,6 +131,27 @@ TEST(ServerTest, EvalQueryMatchesLocalEngine) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+// A query nested past kMaxQueryDepth is a ParseError, and the server
+// lives on: unbounded, 10,000 parentheses would overflow a worker's stack
+// and kill the process.
+TEST(ServerTest, DeeplyNestedQueryIsAParseErrorAndTheServerLivesOn) {
+  TopoDbServer server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  TopoDbClient client = ConnectOrDie(server);
+
+  const std::string text = WriteInstanceText(Fig1aInstance());
+  const std::string atom = "connect(A, B)";
+  const std::string deep =
+      std::string(10000, '(') + atom + std::string(10000, ')');
+  EXPECT_EQ(client.EvalQuery(text, deep).status().code(),
+            StatusCode::kParseError);
+  EXPECT_TRUE(client.Ping().ok());
+  const auto verdict = client.EvalQuery(text, atom);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_EQ(*verdict, *QueryEngine::Build(Fig1aInstance())->Evaluate(atom));
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
 TEST(ServerTest, IsoCheckMatchesTheoremThreeFour) {
   TopoDbServer server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
