@@ -12,6 +12,7 @@
 
 #include "src/arrangement/cell_complex.h"
 #include "src/base/status.h"
+#include "src/geom/predicates.h"
 #include "src/obs/metrics.h"
 #include "src/region/instance.h"
 
@@ -60,8 +61,8 @@ class PredicateFilterReport {
 
   void Row(const std::string& name, const SpatialInstance& instance) {
     auto time_build = [&](bool exact) {
-      ArrangementOptions options;
-      options.exact_predicates = exact;
+      ScopedPredicateMode mode(exact ? PredicateMode::kExact
+                                     : PredicateMode::kFiltered);
       // Minimum over adaptively many reps: sub-5ms builds are smaller than
       // a scheduler tick, so keep repeating until ~20ms of samples have
       // accumulated (two reps suffice for the big rows). The minimum is the
@@ -70,7 +71,7 @@ class PredicateFilterReport {
       double total = 0;
       for (int rep = 0; rep < 32 && (rep < 2 || total < 20.0); ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        Unwrap(CellComplex::Build(instance, options));
+        Unwrap(CellComplex::Build(instance));
         const auto t1 = std::chrono::steady_clock::now();
         const double ms =
             std::chrono::duration<double, std::milli>(t1 - t0).count();

@@ -23,7 +23,9 @@
 #      on the same directory and serve again with no re-ingest — the
 #      durability contract, end to end over TCP. A query nested past the
 #      parser's depth bound must exit ParseError (7), and the same daemon
-#      must still answer a ping.
+#      must still answer a ping; a 2^12-operand `and` chain must be
+#      answered within 3 s, and a name equality over a cell variable must
+#      exit ParseError (7).
 #   3c. Multi-shard loopback: two catalog-backed shards behind a
 #      topodb_router. LOAD through the router places entries on their ring
 #      owners, LIST merges the fleet, then SIGTERM kills one shard mid-run
@@ -199,6 +201,20 @@ expect_exit 4 $client eval @fig1a "connect(Z, Z) and false"
 deep_query=$(python3 -c 'print("(" * 10000 + "connect(A, A)" + ")" * 10000)')
 expect_exit 7 $client eval @fig1a "$deep_query"
 $client ping
+# A balanced `and` tree of 2^12 distinct name equalities (72 KB, one
+# argument under Linux's 128 KB limit) canonicalizes into one balanced
+# chain: answered well within 3 s, and the daemon still answers.
+wide_query=$(python3 -c '
+level = ["n%d = m" % i for i in range(1 << 12)]
+while len(level) > 1:
+    level = ["(%s) and (%s)" % pair for pair in zip(level[::2], level[1::2])]
+print("exists name m . " + level[0])')
+timeout 3 $client eval @fig1a "$wide_query" | grep -qx "false" \
+  || { echo "a 2^12-operand and-chain should be false within 3 s"; exit 1; }
+$client ping
+# `=` compares names: over a cell variable it is a ParseError (7) in any
+# evaluation order, not a verdict.
+expect_exit 7 $client eval @fig1a "(exists cell c . c = A) or true"
 $client metrics > ci/artifacts/catalog_metrics.json
 python3 ci/check_metrics_json.py ci/artifacts/catalog_metrics.json \
   --require-semcache

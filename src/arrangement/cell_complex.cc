@@ -11,7 +11,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "src/arrangement/broadphase.h"
 #include "src/base/check.h"
 #include "src/geom/polygon.h"
 #include "src/geom/predicates.h"
@@ -128,12 +127,9 @@ class CellComplexBuilder {
     // Records wall time on every exit, including error returns.
     ScopedTimer build_timer(
         RegistryHistogram(options_.metrics, "arrangement.build_us"));
-    // Predicate mode for the whole build, including predicates reached
-    // indirectly (Polygon::Locate during face assignment). Stats are
-    // snapshotted so FlushMetrics can publish this build's deltas.
-    ScopedPredicateMode predicate_mode(options_.exact_predicates
-                                           ? PredicateMode::kExact
-                                           : PredicateMode::kFiltered);
+    // The build runs in its thread's predicate mode (ScopedPredicateMode,
+    // src/geom/predicates.h). Stats are snapshotted so FlushMetrics can
+    // publish this build's deltas.
     pred_start_ = LocalPredicateFilterStats();
     complex_.region_names_ = instance_.names();
     CollectSegments();
@@ -394,28 +390,20 @@ class CellComplexBuilder {
         }
       }
     }
-    // Pairwise scan within each bucket. The bucket's boxes are gathered
-    // into a structure-of-arrays batch so the box-overlap tests run over
-    // contiguous double arrays (vectorized; see broadphase.h); survivors go
-    // through the lowest-cell dedup check so each pair is cut exactly once,
-    // then to the exact narrow phase.
-    BoxOverlapBatch batch;
-    std::vector<int> hits;
+    // Pairwise scan within each bucket: closed-box overlap, then the
+    // lowest-common-cell check so each pair is cut exactly once, then the
+    // exact narrow phase.
     for (const auto& [key, segs] : buckets) {
       const int cx = static_cast<int>(key % nx);
       const int cy = static_cast<int>(key / nx);
-      batch.Clear();
-      batch.Reserve(segs.size());
-      for (int idx : segs) {
-        const GridEntry& e = entries[idx];
-        batch.Add(e.lox, e.loy, e.hix, e.hiy, idx);
-      }
       for (size_t a = 0; a + 1 < segs.size(); ++a) {
         const GridEntry& ea = entries[segs[a]];
-        hits.clear();
-        batch.OverlapsAfter(a, &hits);
-        for (int b : hits) {
+        for (size_t b = a + 1; b < segs.size(); ++b) {
           const GridEntry& eb = entries[segs[b]];
+          if (ea.hix < eb.lox || eb.hix < ea.lox || ea.hiy < eb.loy ||
+              eb.hiy < ea.loy) {
+            continue;
+          }
           if (std::max(ea.ix0, eb.ix0) != cx ||
               std::max(ea.iy0, eb.iy0) != cy) {
             continue;
@@ -807,7 +795,7 @@ class CellComplexBuilder {
         ->Record(static_cast<double>(complex_.faces_.size()));
     // Predicate filter effectiveness for this build (deltas of the
     // thread-local tallies; builds run single-threaded so the deltas are
-    // exactly this build's). All zero under exact_predicates.
+    // exactly this build's). All zero in exact mode.
     const PredicateFilterStats& now = LocalPredicateFilterStats();
     m->counter("predicates.static_hits")
         ->Add(now.static_hits - pred_start_.static_hits);

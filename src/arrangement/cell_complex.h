@@ -28,12 +28,6 @@ enum class BroadPhase {
 
 struct ArrangementOptions {
   BroadPhase broad_phase = BroadPhase::kGrid;
-  // Run every geometric predicate on the pure rational path, skipping the
-  // semi-static double filter (see src/geom/predicates.h). Both settings
-  // produce bit-identical complexes — the filter may only ever answer
-  // "uncertain", never a wrong sign — so this exists for differential
-  // testing and as the reference when benchmarking the filter.
-  bool exact_predicates = false;
   // Optional sink for build metrics (broad-phase candidate pairs vs exact
   // intersections found, predicate filter hits and exact fallbacks, cell
   // counts, build wall time). nullptr disables collection at near-zero

@@ -96,10 +96,11 @@ const PredicateFilterStats& LocalPredicateFilterStats();
 
 // Per-thread predicate evaluation mode. In kExact mode the filtered entry
 // points above skip the filter and run pure rational arithmetic
-// (without touching the stats), so a differential test or an
-// ArrangementOptions{exact_predicates = true} build exercises the exact
-// path end to end — including predicates reached indirectly, e.g. through
-// Polygon::Locate.
+// (without touching the stats), so a differential test or an arrangement
+// built under ScopedPredicateMode(PredicateMode::kExact) exercises the
+// exact path end to end — including predicates reached indirectly, e.g.
+// through Polygon::Locate. A CellComplex::Build runs in the mode of the
+// thread that calls it; this is the one switch.
 enum class PredicateMode { kFiltered, kExact };
 
 PredicateMode CurrentPredicateMode();

@@ -26,6 +26,16 @@ const char* PredicateName(Predicate p) {
   return "?";
 }
 
+const char* VarKindName(Formula::VarKind kind) {
+  switch (kind) {
+    case Formula::VarKind::kRegion: return "region";
+    case Formula::VarKind::kCell: return "cell";
+    case Formula::VarKind::kName: return "name";
+    case Formula::VarKind::kRect: return "rect";
+  }
+  return "?";
+}
+
 namespace {
 
 // Enclosing binders, innermost last. `rendered` differs from `original`
@@ -58,16 +68,6 @@ std::string TermText(const Term& term, const std::vector<BoundVar>& bound) {
     if (it->original == term.text) return it->rendered;
   }
   return term.text;
-}
-
-const char* VarKindName(Formula::VarKind kind) {
-  switch (kind) {
-    case Formula::VarKind::kRegion: return "region";
-    case Formula::VarKind::kCell: return "cell";
-    case Formula::VarKind::kName: return "name";
-    case Formula::VarKind::kRect: return "rect";
-  }
-  return "?";
 }
 
 void AppendFormula(const Formula& f, std::vector<BoundVar>* bound,

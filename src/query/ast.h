@@ -87,6 +87,9 @@ struct Formula {
   std::string ToString() const;
 };
 
+// The sort keyword of a quantifier: "region", "cell", "name" or "rect".
+const char* VarKindName(Formula::VarKind kind);
+
 // Construction helpers (used by tests and programmatic query building).
 FormulaPtr MakeAtom(Predicate predicate, Term lhs, Term rhs);
 FormulaPtr MakeNameEq(Term lhs, Term rhs);

@@ -5,12 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace topodb {
 
 // A set of cells of one arrangement, packed 64 cells per word. This is the
@@ -19,12 +13,8 @@ namespace topodb {
 // over these, so evaluation cost per atom is O(cells / 64) instead of the
 // byte-per-cell loops of the reference evaluator (tests/reference_eval.h).
 //
-// The word kernels (Intersects, IsSubsetOf, Count, bulk AND/OR/ANDNOT)
-// additionally carry an AVX2 path processing four words per step with a
-// scalar tail — the same pattern as the box-overlap broad phase
-// (src/arrangement/broadphase.cc). The SIMD paths compute bit-identical
-// verdicts to the scalar loops (pure bitwise algebra, no reassociation of
-// anything order-sensitive), which the differential property suite asserts.
+// Each operation is one plain loop over the words; at -O3 the compiler
+// vectorizes the bulk ones (|=, &=, AndNot) by itself.
 //
 // All binary operations require both operands to have the same size_bits()
 // (they always describe the same arrangement); trailing bits of the last
@@ -58,131 +48,45 @@ class CellSet {
   }
 
   bool Any() const {
-    const size_t n = words_.size();
-    size_t i = 0;
-#if defined(__AVX2__)
-    for (; i + 4 <= n; i += 4) {
-      const __m256i v = LoadWords(i);
-      if (!_mm256_testz_si256(v, v)) return true;
-    }
-#endif
-    for (; i < n; ++i) {
-      if (words_[i]) return true;
+    for (uint64_t w : words_) {
+      if (w) return true;
     }
     return false;
   }
   bool None() const { return !Any(); }
 
   int Count() const {
-    const size_t n = words_.size();
-    size_t i = 0;
     int count = 0;
-#if defined(__AVX2__)
-    // Nibble-table popcount (Mula): per-byte counts via two PSHUFB lookups,
-    // horizontally summed into 64-bit lanes by PSADBW each iteration, so no
-    // byte counter can saturate.
-    if (n >= 4) {
-      const __m256i lookup = _mm256_setr_epi8(
-          0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-          0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-      const __m256i low_mask = _mm256_set1_epi8(0x0f);
-      const __m256i zero = _mm256_setzero_si256();
-      __m256i acc = zero;
-      for (; i + 4 <= n; i += 4) {
-        const __m256i v = LoadWords(i);
-        const __m256i lo = _mm256_and_si256(v, low_mask);
-        const __m256i hi =
-            _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-        const __m256i per_byte =
-            _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
-                            _mm256_shuffle_epi8(lookup, hi));
-        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(per_byte, zero));
-      }
-      alignas(32) uint64_t lanes[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-      count = static_cast<int>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-    }
-#endif
-    for (; i < n; ++i) count += std::popcount(words_[i]);
+    for (uint64_t w : words_) count += std::popcount(w);
     return count;
   }
 
   // Nonempty intersection, without materializing it.
   bool Intersects(const CellSet& other) const {
-    const size_t n = words_.size();
-    size_t i = 0;
-#if defined(__AVX2__)
-    for (; i + 4 <= n; i += 4) {
-      if (!_mm256_testz_si256(LoadWords(i), other.LoadWords(i))) return true;
-    }
-#endif
-    for (; i < n; ++i) {
+    for (size_t i = 0; i < words_.size(); ++i) {
       if (words_[i] & other.words_[i]) return true;
     }
     return false;
   }
 
   bool IsSubsetOf(const CellSet& other) const {
-    const size_t n = words_.size();
-    size_t i = 0;
-#if defined(__AVX2__)
-    for (; i + 4 <= n; i += 4) {
-      // VPTEST sets CF iff (~other & this) == 0, i.e. these words of this
-      // are covered by other.
-      if (!_mm256_testc_si256(other.LoadWords(i), LoadWords(i))) return false;
-    }
-#endif
-    for (; i < n; ++i) {
+    for (size_t i = 0; i < words_.size(); ++i) {
       if (words_[i] & ~other.words_[i]) return false;
     }
     return true;
   }
 
   CellSet& operator|=(const CellSet& other) {
-    const size_t n = words_.size();
-    size_t i = 0;
-#if defined(__AVX2__)
-    for (; i + 4 <= n; i += 4) {
-      StoreWords(i, _mm256_or_si256(LoadWords(i), other.LoadWords(i)));
-    }
-#elif defined(__SSE2__)
-    for (; i + 2 <= n; i += 2) {
-      StoreWords(i, _mm_or_si128(LoadWords(i), other.LoadWords(i)));
-    }
-#endif
-    for (; i < n; ++i) words_[i] |= other.words_[i];
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
     return *this;
   }
   CellSet& operator&=(const CellSet& other) {
-    const size_t n = words_.size();
-    size_t i = 0;
-#if defined(__AVX2__)
-    for (; i + 4 <= n; i += 4) {
-      StoreWords(i, _mm256_and_si256(LoadWords(i), other.LoadWords(i)));
-    }
-#elif defined(__SSE2__)
-    for (; i + 2 <= n; i += 2) {
-      StoreWords(i, _mm_and_si128(LoadWords(i), other.LoadWords(i)));
-    }
-#endif
-    for (; i < n; ++i) words_[i] &= other.words_[i];
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
     return *this;
   }
   // this := this \ other.
   CellSet& AndNot(const CellSet& other) {
-    const size_t n = words_.size();
-    size_t i = 0;
-#if defined(__AVX2__)
-    for (; i + 4 <= n; i += 4) {
-      // andnot computes (~first) & second.
-      StoreWords(i, _mm256_andnot_si256(other.LoadWords(i), LoadWords(i)));
-    }
-#elif defined(__SSE2__)
-    for (; i + 2 <= n; i += 2) {
-      StoreWords(i, _mm_andnot_si128(other.LoadWords(i), LoadWords(i)));
-    }
-#endif
-    for (; i < n; ++i) words_[i] &= ~other.words_[i];
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
     return *this;
   }
 
@@ -219,22 +123,6 @@ class CellSet {
   }
 
  private:
-#if defined(__AVX2__)
-  __m256i LoadWords(size_t i) const {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(&words_[i]));
-  }
-  void StoreWords(size_t i, __m256i v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&words_[i]), v);
-  }
-#elif defined(__SSE2__)
-  __m128i LoadWords(size_t i) const {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(&words_[i]));
-  }
-  void StoreWords(size_t i, __m128i v) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&words_[i]), v);
-  }
-#endif
-
   int bits_ = 0;
   std::vector<uint64_t> words_;
 };

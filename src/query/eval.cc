@@ -518,17 +518,6 @@ Result<const QueryEngine::DiscValue*> QueryEngine::FetchDiscValue(
 
 class BitsetEvaluator {
  public:
-  // A bound region/cell variable: the value and its topological closure,
-  // computed once at bind time so atoms never recompute closures.
-  struct Binding {
-    CellSet value;
-    CellSet closure;
-  };
-  struct Env {
-    std::map<std::string, Binding> cells;
-    std::map<std::string, std::string> names;
-  };
-
   BitsetEvaluator(const QueryEngine& engine, const EvalOptions& options)
       : engine_(engine),
         budget_(options.max_region_candidates),
@@ -542,63 +531,87 @@ class BitsetEvaluator {
   uint64_t atoms() const { return atoms_; }
   uint64_t bindings() const { return bindings_; }
 
-  Result<bool> Eval(const FormulaPtr& formula, Env* env) {
+  Result<bool> Eval(const FormulaPtr& formula) {
     switch (formula->kind) {
       case Formula::Kind::kTrue: return true;
       case Formula::Kind::kFalse: return false;
-      case Formula::Kind::kAtom: return EvalAtom(*formula, env);
+      case Formula::Kind::kAtom: return EvalAtom(*formula);
       case Formula::Kind::kNameEq: {
-        TOPODB_ASSIGN_OR_RETURN(std::string a, NameOf(formula->lhs, env));
-        TOPODB_ASSIGN_OR_RETURN(std::string b, NameOf(formula->rhs, env));
+        TOPODB_ASSIGN_OR_RETURN(std::string a, NameOf(formula->lhs));
+        TOPODB_ASSIGN_OR_RETURN(std::string b, NameOf(formula->rhs));
         return a == b;
       }
       case Formula::Kind::kNot: {
-        TOPODB_ASSIGN_OR_RETURN(bool v, Eval(formula->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool v, Eval(formula->left));
         return !v;
       }
       case Formula::Kind::kAnd: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left));
         if (!a) return false;
-        return Eval(formula->right, env);
+        return Eval(formula->right);
       }
       case Formula::Kind::kOr: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left));
         if (a) return true;
-        return Eval(formula->right, env);
+        return Eval(formula->right);
       }
       case Formula::Kind::kImplies: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left));
         if (!a) return true;
-        return Eval(formula->right, env);
+        return Eval(formula->right);
       }
       case Formula::Kind::kIff: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        TOPODB_ASSIGN_OR_RETURN(bool b, Eval(formula->right, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left));
+        TOPODB_ASSIGN_OR_RETURN(bool b, Eval(formula->right));
         return a == b;
       }
       case Formula::Kind::kExists:
-      case Formula::Kind::kForall:
-        return EvalQuantifier(*formula, env);
+      case Formula::Kind::kForall: {
+        scope_.emplace_back().binder = formula.get();
+        Result<bool> v = EvalQuantifier(*formula, scope_.size() - 1);
+        scope_.pop_back();
+        return v;
+      }
     }
     TOPODB_UNREACHABLE();
   }
 
  private:
-  // A term's value and closure, borrowed from the environment or from the
+  // One bound variable: a name binder's region name, or a cell/region
+  // binder's value and its topological closure, computed once at bind
+  // time so atoms never recompute closures.
+  struct Binding {
+    const Formula* binder = nullptr;
+    const std::string* name = nullptr;
+    CellSet value;
+    CellSet closure;
+  };
+
+  // A term's value and closure, borrowed from the scope or from the
   // engine's precomputed per-region sets.
   struct ValueRef {
     const CellSet* value;
     const CellSet* closure;
   };
 
-  Result<std::string> NameOf(const Term& term, Env* env) {
+  // The innermost binding of `var` (the scope is searched innermost
+  // first, whatever the binders' kinds), or nullptr.
+  const Binding* Lookup(const std::string& var) const {
+    for (auto it = scope_.rbegin(); it != scope_.rend(); ++it) {
+      if (it->binder->var == var) return &*it;
+    }
+    return nullptr;
+  }
+
+  Result<std::string> NameOf(const Term& term) const {
     if (term.kind == Term::Kind::kNameConstant) return term.text;
-    auto it = env->names.find(term.text);
-    if (it == env->names.end()) {
+    const Binding* binding = Lookup(term.text);
+    if (binding == nullptr ||
+        binding->binder->var_kind != Formula::VarKind::kName) {
       return Status::InvalidArgument("'" + term.text +
                                      "' is not a name in this context");
     }
-    return it->second;
+    return *binding->name;
   }
 
   Result<ValueRef> RegionRef(const std::string& name) const {
@@ -610,23 +623,22 @@ class BitsetEvaluator {
                     &engine_.region_closure_bits_.find(name)->second};
   }
 
-  Result<ValueRef> ValueOf(const Term& term, Env* env) {
-    if (term.kind == Term::Kind::kVariable) {
-      auto cell_it = env->cells.find(term.text);
-      if (cell_it != env->cells.end()) {
-        return ValueRef{&cell_it->second.value, &cell_it->second.closure};
-      }
-      auto name_it = env->names.find(term.text);
-      if (name_it != env->names.end()) return RegionRef(name_it->second);
+  Result<ValueRef> ValueOf(const Term& term) const {
+    if (term.kind == Term::Kind::kNameConstant) return RegionRef(term.text);
+    const Binding* binding = Lookup(term.text);
+    if (binding == nullptr) {
       return Status::InvalidArgument("unbound variable " + term.text);
     }
-    return RegionRef(term.text);
+    if (binding->binder->var_kind == Formula::VarKind::kName) {
+      return RegionRef(*binding->name);
+    }
+    return ValueRef{&binding->value, &binding->closure};
   }
 
-  Result<bool> EvalAtom(const Formula& atom, Env* env) {
+  Result<bool> EvalAtom(const Formula& atom) {
     ++atoms_;
-    TOPODB_ASSIGN_OR_RETURN(ValueRef s, ValueOf(atom.lhs, env));
-    TOPODB_ASSIGN_OR_RETURN(ValueRef t, ValueOf(atom.rhs, env));
+    TOPODB_ASSIGN_OR_RETURN(ValueRef s, ValueOf(atom.lhs));
+    TOPODB_ASSIGN_OR_RETURN(ValueRef t, ValueOf(atom.rhs));
     auto boundary = [](const ValueRef& r) {
       CellSet b = *r.closure;
       b.AndNot(*r.value);
@@ -663,74 +675,56 @@ class BitsetEvaluator {
     TOPODB_UNREACHABLE();
   }
 
-  Result<bool> EvalQuantifier(const Formula& formula, Env* env) {
+  // Binds scope_[slot] to each value of the quantifier's range in turn
+  // and evaluates the body, until a binding decides the quantifier. The
+  // slot is addressed by index, never by a reference held across the
+  // body: the body's own quantifiers push above it and may reallocate
+  // the scope.
+  Result<bool> EvalQuantifier(const Formula& formula, size_t slot) {
     const bool exists = formula.kind == Formula::Kind::kExists;
     switch (formula.var_kind) {
       case Formula::VarKind::kName: {
         for (const std::string& name : engine_.complex_.region_names()) {
           if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
           ++bindings_;
-          env->names[formula.var] = name;
-          Result<bool> v = Eval(formula.body, env);
-          env->names.erase(formula.var);
-          TOPODB_ASSIGN_OR_RETURN(bool value, std::move(v));
+          scope_[slot].name = &name;
+          TOPODB_ASSIGN_OR_RETURN(bool value, Eval(formula.body));
           if (value == exists) return exists;
         }
         return !exists;
       }
       case Formula::VarKind::kCell: {
         const int total = static_cast<int>(engine_.num_cells());
-        // One map slot for the whole sweep; per-binding updates reuse the
-        // CellSet storage (copy assignment keeps capacity).
-        Binding& slot = env->cells[formula.var];
-        slot.value = CellSet(total);
+        // Per-binding updates reuse the slot's CellSet storage (copy
+        // assignment keeps capacity).
+        scope_[slot].value = CellSet(total);
         for (int c = 0; c < total; ++c) {
-          if (stop_armed_ && stop_.ShouldStop()) {
-            env->cells.erase(formula.var);
-            return stop_.Check();
-          }
+          if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
           ++bindings_;
-          if (c > 0) slot.value.Reset(c - 1);
-          slot.value.Set(c);
-          slot.closure = engine_.closure_bits_[c];
-          Result<bool> v = Eval(formula.body, env);
-          if (!v.ok() || *v == exists) {
-            env->cells.erase(formula.var);
-            TOPODB_ASSIGN_OR_RETURN(bool result, std::move(v));
-            if (result == exists) return exists;
-          }
+          if (c > 0) scope_[slot].value.Reset(c - 1);
+          scope_[slot].value.Set(c);
+          scope_[slot].closure = engine_.closure_bits_[c];
+          TOPODB_ASSIGN_OR_RETURN(bool value, Eval(formula.body));
+          if (value == exists) return exists;
         }
-        env->cells.erase(formula.var);
         return !exists;
       }
       case Formula::VarKind::kRegion: {
         // Iterate the engine's shared materialized range: disc values (and
         // their closures) are computed once per engine, then replayed for
         // every binding of every quantifier of every evaluation.
-        Binding& slot = env->cells[formula.var];
         for (int64_t k = 0;; ++k) {
-          if (stop_armed_ && stop_.ShouldStop()) {
-            env->cells.erase(formula.var);
-            return stop_.Check();
-          }
-          Result<const QueryEngine::DiscValue*> value =
-              engine_.FetchDiscValue(k, max_steps_, stop_);
-          if (!value.ok() || *value == nullptr || --budget_ < 0) {
-            env->cells.erase(formula.var);
-            TOPODB_ASSIGN_OR_RETURN(const QueryEngine::DiscValue* v,
-                                    std::move(value));
-            if (v == nullptr) return !exists;
-            return BudgetExhaustedError(budget_limit_);
-          }
+          if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
+          TOPODB_ASSIGN_OR_RETURN(
+              const QueryEngine::DiscValue* disc,
+              engine_.FetchDiscValue(k, max_steps_, stop_));
+          if (disc == nullptr) return !exists;
+          if (--budget_ < 0) return BudgetExhaustedError(budget_limit_);
           ++bindings_;
-          slot.value = (*value)->cells;
-          slot.closure = (*value)->closure;
-          Result<bool> v = Eval(formula.body, env);
-          if (!v.ok() || *v == exists) {
-            env->cells.erase(formula.var);
-            TOPODB_ASSIGN_OR_RETURN(bool result, std::move(v));
-            if (result == exists) return exists;
-          }
+          scope_[slot].value = disc->cells;
+          scope_[slot].closure = disc->closure;
+          TOPODB_ASSIGN_OR_RETURN(bool value, Eval(formula.body));
+          if (value == exists) return exists;
         }
       }
       case Formula::VarKind::kRect:
@@ -750,36 +744,67 @@ class BitsetEvaluator {
   const bool stop_armed_;
   uint64_t atoms_ = 0;
   uint64_t bindings_ = 0;
+  // The bound variables, outermost first: pushed at quantifier entry,
+  // popped on every exit.
+  std::vector<Binding> scope_;
 };
 
 // --- Entry points ---
 
-Status QueryEngine::ValidateAtomNames(const Formula& query) const {
-  switch (query.kind) {
+namespace {
+
+// ValidateAtomNames' walk; `binders` holds the enclosing quantifiers,
+// innermost last.
+Status ValidateNames(const Formula& f,
+                     const std::map<std::string, CellSet>& regions,
+                     std::vector<const Formula*>* binders) {
+  switch (f.kind) {
     case Formula::Kind::kAtom:
-      for (const Term* term : {&query.lhs, &query.rhs}) {
+      for (const Term* term : {&f.lhs, &f.rhs}) {
         if (term->kind == Term::Kind::kNameConstant &&
-            region_bits_.find(term->text) == region_bits_.end()) {
+            regions.find(term->text) == regions.end()) {
           return Status::NotFound("no region named " + term->text);
         }
       }
       return Status::OK();
+    case Formula::Kind::kNameEq:
+      for (const Term* term : {&f.lhs, &f.rhs}) {
+        if (term->kind != Term::Kind::kVariable) continue;
+        auto binder = std::find_if(
+            binders->rbegin(), binders->rend(),
+            [&](const Formula* b) { return b->var == term->text; });
+        if (binder == binders->rend() ||
+            (*binder)->var_kind != Formula::VarKind::kName) {
+          return Status::InvalidArgument("'" + term->text +
+                                         "' is not a name in this context");
+        }
+      }
+      return Status::OK();
     case Formula::Kind::kNot:
-      return ValidateAtomNames(*query.left);
+      return ValidateNames(*f.left, regions, binders);
     case Formula::Kind::kAnd:
     case Formula::Kind::kOr:
     case Formula::Kind::kImplies:
-    case Formula::Kind::kIff: {
-      Status left = ValidateAtomNames(*query.left);
-      if (!left.ok()) return left;
-      return ValidateAtomNames(*query.right);
-    }
+    case Formula::Kind::kIff:
+      TOPODB_RETURN_NOT_OK(ValidateNames(*f.left, regions, binders));
+      return ValidateNames(*f.right, regions, binders);
     case Formula::Kind::kExists:
-    case Formula::Kind::kForall:
-      return ValidateAtomNames(*query.body);
+    case Formula::Kind::kForall: {
+      binders->push_back(&f);
+      Status body = ValidateNames(*f.body, regions, binders);
+      binders->pop_back();
+      return body;
+    }
     default:
       return Status::OK();
   }
+}
+
+}  // namespace
+
+Status QueryEngine::ValidateAtomNames(const Formula& query) const {
+  std::vector<const Formula*> binders;
+  return ValidateNames(query, region_bits_, &binders);
 }
 
 Result<bool> QueryEngine::Evaluate(const FormulaPtr& query,
@@ -806,8 +831,7 @@ Result<bool> QueryEngine::Evaluate(const FormulaPtr& query,
       CounterAdd(RegistryCounter(options.metrics, "planner.plans"));
     }
     BitsetEvaluator evaluator(*this, options);
-    BitsetEvaluator::Env env;
-    Result<bool> verdict = evaluator.Eval(formula, &env);
+    Result<bool> verdict = evaluator.Eval(formula);
     CounterAdd(RegistryCounter(options.metrics, "query.atoms"),
                evaluator.atoms());
     CounterAdd(RegistryCounter(options.metrics, "query.bindings"),

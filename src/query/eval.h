@@ -62,8 +62,9 @@ struct EvalOptions {
   // instead of the written query; verdict-identical for queries whose
   // atom region names all resolve (the differential suites pin this).
   // Since canonicalization can fold an atom away or move it behind a
-  // short circuit, this path first validates the input's atom names and
-  // fails with the evaluator's NotFound. Off by default so the oracle and
+  // short circuit, this path first validates the input
+  // (ValidateAtomNames) and fails with the evaluator's NotFound or
+  // InvalidArgument. Off by default so the oracle and
   // differential paths see the written order; the server sets it for
   // inline-text EVAL_QUERY, and its cached path (EvaluateQueryCached)
   // always evaluates the canonical form it built for the cache key.
@@ -88,7 +89,9 @@ struct EvalOptions {
 //   - 'region' variables range over unions of cells that are open discs
 //     (completions of dual-connected face sets whose sphere complement is
 //     connected);
-//   - 'name' variables range over names(I);
+//   - 'name' variables range over names(I), and `=` compares names;
+//   - a variable resolves to its innermost binder, whatever the kinds of
+//     the binders it shadows;
 //   - atoms are connect and the 4-intersection relationships, evaluated
 //     exactly on cell sets.
 //
@@ -145,11 +148,16 @@ class QueryEngine {
   SelectivityStats planner_stats() const { return {}; }
 
   // NotFound for the first atom region-name constant that does not
-  // resolve; OK otherwise. NameEq positions are skipped: unknown names
-  // there are legal and simply compare unequal. Callers that rewrite a
-  // query before evaluating it run this on the input first, since
-  // canonicalization can fold an unknown name away (Evaluate with
-  // options.plan, and EvaluateQueryCached before it builds its cache key).
+  // resolve; InvalidArgument for the first operand of `=` that is a
+  // variable not bound by a name quantifier (the parser rejects those;
+  // a programmatic AST can hold one, and written-order evaluation fails
+  // with the same status only if it reaches it); OK otherwise. Name
+  // constants in `=` are not looked up: unknown names there are legal
+  // and simply compare unequal. Callers that rewrite a query before
+  // evaluating it run this on the input first, since canonicalization
+  // can fold such an operand away or move it behind a short circuit
+  // (Evaluate with options.plan, and EvaluateQueryCached before it
+  // builds its cache key).
   Status ValidateAtomNames(const Formula& query) const;
 
  private:

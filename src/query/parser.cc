@@ -262,7 +262,7 @@ class Parser {
     }
     Next();
     TOPODB_RETURN_NOT_OK(Open());
-    bound_.insert(var);
+    bound_.emplace(var, var_kind);
     // The body extends as far right as possible.
     Result<Parsed> body = ParseIff();
     bound_.erase(var);
@@ -296,8 +296,7 @@ class Parser {
         return Err("expected '=' after quoted term");
       }
       Next();
-      TOPODB_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
-      return Parsed{MakeNameEq(std::move(lhs), std::move(rhs))};
+      return ParseNameEq(std::move(lhs));
     }
     if (Peek().kind != Token::Kind::kIdent) return Err("expected formula");
     if (ConsumeIdent("true")) {
@@ -327,13 +326,33 @@ class Parser {
       return Parsed{MakeAtom(pred_it->second, std::move(lhs), std::move(rhs))};
     }
     // Name equality atom: term = term.
+    const size_t lhs_pos = Peek().pos;
     TOPODB_ASSIGN_OR_RETURN(Term lhs, ParseTerm());
     if (Peek().kind != Token::Kind::kEquals) {
       return Err("expected predicate or '='");
     }
+    TOPODB_RETURN_NOT_OK(CheckNameOperand(lhs, lhs_pos));
     Next();
+    return ParseNameEq(std::move(lhs));
+  }
+
+  // The right operand of `lhs = rhs`, after the '='.
+  Result<Parsed> ParseNameEq(Term lhs) {
+    const size_t rhs_pos = Peek().pos;
     TOPODB_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
+    TOPODB_RETURN_NOT_OK(CheckNameOperand(rhs, rhs_pos));
     return Parsed{MakeNameEq(std::move(lhs), std::move(rhs))};
+  }
+
+  // `=` compares names: a variable operand must be bound by a name
+  // quantifier.
+  Status CheckNameOperand(const Term& term, size_t pos) const {
+    if (term.kind != Term::Kind::kVariable) return Status::OK();
+    const Formula::VarKind kind = bound_.at(term.text);
+    if (kind == Formula::VarKind::kName) return Status::OK();
+    return Status::ParseError("'=' compares names, but '" + term.text +
+                              "' is a " + VarKindName(kind) +
+                              " variable at position " + std::to_string(pos));
   }
 
   Result<Term> ParseTerm() {
@@ -354,7 +373,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   int open_ = 0;  // Levels opened above the current parse point.
-  std::set<std::string> bound_;
+  std::map<std::string, Formula::VarKind> bound_;  // Binders in scope.
 };
 
 }  // namespace

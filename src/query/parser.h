@@ -23,7 +23,10 @@ namespace topodb {
 //   exists cell c . subset(c, "main street") and subset(c, "1a")
 //
 // Identifiers bound by a quantifier are variables; free identifiers are
-// region name constants (denoting ext(name)). Connectives by decreasing
+// region name constants (denoting ext(name)). `=` compares names: each
+// side is a name constant or a variable bound by a `name` quantifier,
+// and a region, cell or rect variable there is a ParseError naming the
+// variable and its sort. Connectives by decreasing
 // precedence: not, and, or, implies (right associative), iff. A
 // quantifier's body extends as far right as possible.
 //

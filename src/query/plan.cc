@@ -196,10 +196,12 @@ class Canonicalizer {
         return Canon(f->left, !neg);
       case Kind::kAnd:
       case Kind::kOr: {
+        // The written chain's operands, gathered once through nested
+        // nodes of the same connective, each canonicalized once.
         const bool conj = (f->kind == Kind::kAnd) != neg;
         std::vector<FormulaPtr> children;
-        children.push_back(Canon(f->left, neg));
-        children.push_back(Canon(f->right, neg));
+        Flatten(f->kind, f, &children);
+        for (FormulaPtr& child : children) child = Canon(child, neg);
         return BuildConnective(conj ? Kind::kAnd : Kind::kOr,
                                std::move(children));
       }
@@ -345,12 +347,22 @@ class Canonicalizer {
       }
     }
     if (keyed.empty()) return conj ? True() : False();
-    FormulaPtr out = std::move(keyed.front().second);
-    for (size_t i = 1; i < keyed.size(); ++i) {
-      out = conj ? MakeAnd(std::move(out), std::move(keyed[i].second))
-                 : MakeOr(std::move(out), std::move(keyed[i].second));
-    }
-    return out;
+    return Balanced(kind, &keyed, 0, keyed.size());
+  }
+
+  // The sorted operands [lo, hi) as a balanced tree, the odd operand in
+  // the left half: up to three operands nest as a left-deep chain would,
+  // and depth grows as log2 of the width, so every recursion over the
+  // canonical form (and the parser, on its rendering) stays shallow.
+  static FormulaPtr Balanced(
+      Kind kind, std::vector<std::pair<std::string, FormulaPtr>>* keyed,
+      size_t lo, size_t hi) {
+    if (hi - lo == 1) return std::move((*keyed)[lo].second);
+    const size_t mid = lo + (hi - lo + 1) / 2;
+    FormulaPtr left = Balanced(kind, keyed, lo, mid);
+    FormulaPtr right = Balanced(kind, keyed, mid, hi);
+    return kind == Kind::kAnd ? MakeAnd(std::move(left), std::move(right))
+                              : MakeOr(std::move(left), std::move(right));
   }
 
   static void Flatten(Kind kind, FormulaPtr f, std::vector<FormulaPtr>* out) {

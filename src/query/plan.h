@@ -19,7 +19,9 @@ namespace topodb {
 // disjoint == not connect, converse predicates normalized (contains ->
 // inside, covers -> coveredBy with swapped operands), symmetric-atom
 // operand sorting, and/or chains flattened + sorted + deduplicated under
-// a binder-independent (de Bruijn) structural key, true/false and
+// a binder-independent (de Bruijn) structural key and rebuilt as balanced
+// trees (the odd operand in the left half, so up to three operands nest
+// left-deep and depth grows as log2 of the width), true/false and
 // complement simplification, hoisting of variable-independent conjuncts
 // out of exists (disjuncts out of forall — the two directions that stay
 // sound for empty quantifier ranges), same-kind quantifier blocks reduced
@@ -38,13 +40,12 @@ namespace topodb {
 // query whose atom region names all resolve, evaluating the canonical
 // form is verdict-identical to evaluating the input on every evaluation
 // that completes within its budgets. Reordering can move the *point* at
-// which a budget or deadline trips, or at which an ill-sorted name
-// equality (`r = A` with r a region variable) is reached and fails, so
-// error outcomes are only guaranteed to match when neither order meets
-// one. Unknown atom names are rejected on the input before
-// canonicalizing (see EvalOptions::plan in eval.h), since
-// canonicalization can fold such an atom away or move it behind a short
-// circuit.
+// which a budget or deadline trips, so error outcomes are only guaranteed
+// to match when neither order meets one. Unknown atom names, and name
+// equalities over a variable that is not a name binder, are rejected on
+// the input before canonicalizing (QueryEngine::ValidateAtomNames, see
+// EvalOptions::plan in eval.h), since canonicalization can fold such an
+// operand away or move it behind a short circuit.
 
 // Canonical-form rewrite. Deterministic and idempotent. When `rendering`
 // is non-null it receives the result's ToString(), which the fixpoint
@@ -53,9 +54,10 @@ FormulaPtr CanonicalizeQuery(const FormulaPtr& query,
                              std::string* rendering = nullptr);
 
 // The canonical cache-key rendering: CanonicalizeQuery's ToString. The
-// rendering reparses to the same canonical AST byte-stably (ToString
-// quotes name constants that are shadowed by a bound variable), so key
-// equality is exactly canonical-form equality.
+// rendering reparses to the same canonical AST byte-stably, at any chain
+// width (balanced chains stay within the parser's depth bound, and
+// ToString quotes name constants that are shadowed by a bound variable),
+// so key equality is exactly canonical-form equality.
 std::string CanonicalQueryKey(const FormulaPtr& query);
 
 // Kept only because the ledger's traced replay (perfbench/replay.cc)

@@ -158,7 +158,7 @@ TEST(AllocGuardTest, StretchScaledPredicatesAreAllocationFree) {
 
 TEST(AllocGuardTest, ExactModeSmallPredicatesAreAllocationFree) {
   // Even the pure rational path must stay allocation-free on small inputs:
-  // differential (exact_predicates) builds run entirely through it.
+  // differential (exact-mode) builds run entirely through it.
   ScopedPredicateMode exact(PredicateMode::kExact);
   const Point a(0, 0), b(10, 0), c(5, 3), col(5, 0);
   volatile int sink = 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/geom/predicates.h"
 #include "src/region/fixtures.h"
 
 namespace topodb {
@@ -364,8 +365,9 @@ TEST(CellComplexTest, FilteredAndExactBuildsAreBitIdentical) {
   };
   const auto build = [](const SpatialInstance& instance, bool exact,
                         MetricsRegistry* metrics) {
+    ScopedPredicateMode mode(exact ? PredicateMode::kExact
+                                   : PredicateMode::kFiltered);
     ArrangementOptions options;
-    options.exact_predicates = exact;
     options.metrics = metrics;
     Result<CellComplex> complex = CellComplex::Build(instance, options);
     EXPECT_TRUE(complex.ok());

@@ -10,6 +10,7 @@
 #include "src/arrangement/cell_complex.h"
 #include "src/embed/embed.h"
 #include "src/fourint/four_intersection.h"
+#include "src/geom/predicates.h"
 #include "src/invariant/canonical.h"
 #include "src/invariant/validate.h"
 #include "src/pipeline/invariant_cache.h"
@@ -92,11 +93,11 @@ TEST_P(RandomInstanceProperty, FilteredAndExactArrangementsAreIdentical) {
   // filtered build must be byte-for-byte the exact-rational build — same
   // node numbering, same subsegments, same labels, same face structure.
   SpatialInstance instance = Instance();
-  ArrangementOptions filtered;  // exact_predicates defaults to false.
-  ArrangementOptions exact;
-  exact.exact_predicates = true;
-  Result<CellComplex> with_filter = CellComplex::Build(instance, filtered);
-  Result<CellComplex> with_exact = CellComplex::Build(instance, exact);
+  Result<CellComplex> with_filter = CellComplex::Build(instance);
+  Result<CellComplex> with_exact = [&] {
+    ScopedPredicateMode exact(PredicateMode::kExact);
+    return CellComplex::Build(instance);
+  }();
   ASSERT_TRUE(with_filter.ok());
   ASSERT_TRUE(with_exact.ok());
   EXPECT_EQ(with_filter->DebugString(), with_exact->DebugString());
@@ -226,8 +227,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EmbedRoundTripProperty,
 // whose degeneracies (shared corners, T-joints, collinear overlaps) differ
 // from the random rectangles covered by RandomInstanceProperty.
 TEST(FilteredExactDifferentialTest, GeneratorFamilies) {
-  ArrangementOptions exact;
-  exact.exact_predicates = true;
   const SpatialInstance instances[] = {
       *ChainInstance(12),      *RectGridInstance(3, 4), *CombInstance(4),
       *FlowerInstance(5),      *NestedRingsInstance(3),
@@ -235,7 +234,10 @@ TEST(FilteredExactDifferentialTest, GeneratorFamilies) {
   };
   for (const SpatialInstance& instance : instances) {
     Result<CellComplex> with_filter = CellComplex::Build(instance);
-    Result<CellComplex> with_exact = CellComplex::Build(instance, exact);
+    Result<CellComplex> with_exact = [&] {
+      ScopedPredicateMode exact(PredicateMode::kExact);
+      return CellComplex::Build(instance);
+    }();
     ASSERT_TRUE(with_filter.ok());
     ASSERT_TRUE(with_exact.ok());
     EXPECT_EQ(with_filter->DebugString(), with_exact->DebugString());

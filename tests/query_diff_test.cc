@@ -123,6 +123,76 @@ TEST(QueryDiffTest, PlannedMatchesUnplannedAcrossStrategiesAndWorkload) {
   }
 }
 
+// A quantifier that rebinds a name shadows the outer binder for its body
+// only, whatever the two sorts: for each ordered pair of sorts (region,
+// cell, name), the name is used inside the inner quantifier and after it,
+// and the outer quantifier also runs on past bindings whose body ran the
+// inner one (where a binding the inner quantifier freed would be written
+// again; the ASan build reports that). The parser rejects rebinding, so
+// only a programmatic AST holds one; ToString renames the shadowing
+// binder, so the reparsed rendering states the intended scoping with
+// distinct names. Engine, reference, planned evaluation and the rendering
+// all agree.
+TEST(QueryDiffTest, RebindingANameShadowsItAcrossSorts) {
+  using VarKind = Formula::VarKind;
+  const Term v = Var("v");
+  // An atom on v, plus a name equality where v is a name binder there.
+  const auto use = [&](VarKind kind, Predicate p, const char* other,
+                       const char* eq) {
+    const FormulaPtr atom = MakeAtom(p, v, NameConstant(other));
+    if (kind != VarKind::kName) return atom;
+    return MakeOr(MakeNameEq(v, NameConstant(eq)), atom);
+  };
+  EvalOptions planned;
+  planned.plan = true;
+  int checked = 0;
+  for (const SpatialInstance& instance : {Fig1aInstance(), Fig1dInstance()}) {
+    QueryEngine engine = *QueryEngine::Build(instance);
+    const ReferenceEngine reference(engine.complex());
+    const auto expect_scoped = [&](const FormulaPtr& query) {
+      const std::string text = query->ToString();
+      const Result<FormulaPtr> renamed = ParseQuery(text);
+      ASSERT_TRUE(renamed.ok()) << text << ": " << renamed.status().ToString();
+      const Result<bool> want = reference.Evaluate(*renamed);
+      ASSERT_TRUE(want.ok()) << text << ": " << want.status().ToString();
+      for (const Result<bool>& got :
+           {reference.Evaluate(query), engine.Evaluate(query),
+            engine.Evaluate(query, planned), engine.Evaluate(*renamed)}) {
+        EXPECT_TRUE(got.ok() && *got == *want)
+            << text << " should be " << *want << ", got "
+            << (got.ok() ? (*got ? "true" : "false")
+                         : got.status().ToString());
+      }
+      ++checked;
+    };
+    for (const VarKind outer :
+         {VarKind::kRegion, VarKind::kCell, VarKind::kName}) {
+      for (const VarKind inner :
+           {VarKind::kRegion, VarKind::kCell, VarKind::kName}) {
+        for (const Formula::Kind q :
+             {Formula::Kind::kExists, Formula::Kind::kForall}) {
+          const Formula::Kind dual = q == Formula::Kind::kExists
+                                         ? Formula::Kind::kForall
+                                         : Formula::Kind::kExists;
+          const FormulaPtr inner_use =
+              use(inner, Predicate::kSubset, "A", "B");
+          // Q v . not (Q' v . inner-use) and outer-use, Q' the dual of Q.
+          expect_scoped(MakeQuantifier(
+              q, outer, "v",
+              MakeAnd(MakeNot(MakeQuantifier(dual, inner, "v", inner_use)),
+                      use(outer, Predicate::kConnect, "B", "A"))));
+          // Q v . not (Q v . inner-use): Q sweeps on past bindings whose
+          // body ran the inner quantifier for as long as that holds.
+          expect_scoped(MakeQuantifier(
+              q, outer, "v",
+              MakeNot(MakeQuantifier(q, inner, "v", inner_use))));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 72);
+}
+
 // Budget accounting is part of the observable semantics: for EVERY budget
 // value, the engine and the reference must fail at the same point with the
 // same message (the budget is charged per disc value, after the disc

@@ -7,6 +7,7 @@
 
 #include "src/query/plan.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -170,14 +171,15 @@ TEST(QueryPlanTest, ShadowedNameConstantsAreQuotedInToString) {
 // Randomized Parse-o-ToString fuzz. The generator aims at the grammar's
 // sharp edges: quoted names ("main street", "1a"), names that collide
 // with keywords ("cell", "not"), names that collide with binders in
-// scope ("r", "x0"), nested negation, mixed quantifier blocks and
-// max-depth formulas.
+// scope ("r", "x0"), binders that rebind a name of another sort, nested
+// negation, mixed quantifier blocks and max-depth formulas.
+
+using Scope = std::vector<std::pair<Formula::VarKind, std::string>>;
 
 struct FuzzGen {
   explicit FuzzGen(uint64_t seed) : rng(seed) {}
 
-  Term RandomTerm(const std::vector<std::pair<Formula::VarKind, std::string>>&
-                      scope) {
+  Term RandomTerm(const Scope& scope) {
     static const char* const kNames[] = {"A",   "B",    "C",   "main street",
                                          "1a",  "cell", "not", "r",
                                          "x0",  "\\\"q\\\""};
@@ -187,9 +189,24 @@ struct FuzzGen {
     return NameConstant(kNames[rng.Below(std::size(kNames))]);
   }
 
-  FormulaPtr Random(int depth,
-                    std::vector<std::pair<Formula::VarKind, std::string>>*
-                        scope) {
+  // An operand of `=`: unless ill_sorted_name_eq, a name constant or a
+  // variable whose innermost binder is a name quantifier, the only
+  // operands the parser accepts there.
+  Term RandomNameTerm(const Scope& scope) {
+    if (ill_sorted_name_eq) return RandomTerm(scope);
+    Scope names;
+    for (size_t i = 0; i < scope.size(); ++i) {
+      const bool shadowed = std::any_of(
+          scope.begin() + i + 1, scope.end(),
+          [&](const auto& b) { return b.second == scope[i].second; });
+      if (scope[i].first == Formula::VarKind::kName && !shadowed) {
+        names.push_back(scope[i]);
+      }
+    }
+    return RandomTerm(names);
+  }
+
+  FormulaPtr Random(int depth, Scope* scope) {
     const uint64_t pick = rng.Below(depth <= 0 ? 3 : 10);
     switch (pick) {
       case 0:
@@ -209,7 +226,7 @@ struct FuzzGen {
                         RandomTerm(*scope), RandomTerm(*scope));
       }
       case 2:
-        return MakeNameEq(RandomTerm(*scope), RandomTerm(*scope));
+        return MakeNameEq(RandomNameTerm(*scope), RandomNameTerm(*scope));
       case 3:
       case 4:
         return MakeNot(Random(depth - 1, scope));
@@ -244,12 +261,15 @@ struct FuzzGen {
   }
 
   SplitMix64 rng;
+  // Also draw `=` operands bound by region and cell quantifiers, which
+  // only a programmatic AST can hold.
+  bool ill_sorted_name_eq = false;
 };
 
 TEST(QueryPlanTest, RandomizedToStringParseRoundTrip) {
   FuzzGen gen(0x70700db9u);
   for (int i = 0; i < 600; ++i) {
-    std::vector<std::pair<Formula::VarKind, std::string>> scope;
+    Scope scope;
     const FormulaPtr f = gen.Random(2 + i % 4, &scope);
     const std::string text = f->ToString();
     Result<FormulaPtr> reparsed = ParseQuery(text);
@@ -263,7 +283,7 @@ TEST(QueryPlanTest, RandomizedToStringParseRoundTrip) {
 TEST(QueryPlanTest, RandomizedCanonicalKeyIsStableThroughReparse) {
   FuzzGen gen(0xc0ffee42u);
   for (int i = 0; i < 400; ++i) {
-    std::vector<std::pair<Formula::VarKind, std::string>> scope;
+    Scope scope;
     const FormulaPtr f = gen.Random(2 + i % 4, &scope);
     const std::string key = CanonicalQueryKey(f);
     Result<FormulaPtr> reparsed = ParseQuery(key);
@@ -335,32 +355,121 @@ TEST(QueryPlanTest, PlannedMatchesUnplannedOnPaperExamples) {
   }
 }
 
+// Every query the written order answers gets the same verdict when
+// planned, or is rejected up front by ValidateAtomNames: NotFound for an
+// unknown atom name, InvalidArgument for an `=` over a region or cell
+// variable, wherever short-circuiting would have skipped it. A query the
+// written order rejects for either reason is rejected when planned too.
 TEST(QueryPlanTest, RandomizedPlannedDifferential) {
   QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
-  FuzzGen gen(0x5eed5eedu);
-  int evaluated = 0;
-  for (int i = 0; evaluated < 60 && i < 400; ++i) {
-    std::vector<std::pair<Formula::VarKind, std::string>> scope;
-    const FormulaPtr f = gen.Random(3, &scope);
-    // Only valid-name queries are in the differential contract; the
-    // generator's name pool is mostly junk, so route through validation
-    // by asking the unplanned evaluator first.
-    EvalOptions unplanned;
-    Result<bool> a = engine.Evaluate(f, unplanned);
-    if (!a.ok()) continue;
-    // Names may still be invalid if short-circuiting skipped them;
-    // planned evaluation validates all, so skip those queries.
-    Status names = Status::OK();
-    EvalOptions planned = unplanned;
-    planned.plan = true;
-    Result<bool> b = engine.Evaluate(f, planned);
-    if (!b.ok() && b.status().code() == StatusCode::kNotFound) continue;
-    ASSERT_TRUE(b.ok()) << f->ToString() << ": " << b.status().ToString();
-    EXPECT_EQ(*a, *b) << f->ToString();
-    (void)names;
-    ++evaluated;
+  int agreed = 0, rejected = 0;
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    FuzzGen gen(0x5eed5eedu + seed);
+    gen.ill_sorted_name_eq = true;
+    for (int i = 0; i < 400; ++i) {
+      Scope scope;
+      const FormulaPtr f = gen.Random(3, &scope);
+      EvalOptions unplanned;
+      EvalOptions planned;
+      planned.plan = true;
+      Result<bool> a = engine.Evaluate(f, unplanned);
+      Result<bool> b = engine.Evaluate(f, planned);
+      const Status up_front = engine.ValidateAtomNames(*f);
+      if (!b.ok()) {
+        EXPECT_FALSE(up_front.ok()) << f->ToString();
+        EXPECT_EQ(b.status().ToString(), up_front.ToString()) << f->ToString();
+      }
+      if (!a.ok()) {
+        EXPECT_FALSE(b.ok()) << f->ToString() << ": " << a.status().ToString();
+        continue;
+      }
+      if (b.ok()) {
+        EXPECT_EQ(*a, *b) << f->ToString();
+        ++agreed;
+      } else {
+        ++rejected;
+      }
+    }
   }
-  EXPECT_GE(evaluated, 40);
+  EXPECT_GE(agreed, 4000);
+  EXPECT_GE(rejected, 500);
+}
+
+TEST(QueryPlanTest, PlannedEvaluationRejectsIllSortedNameEqualitiesUpFront) {
+  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
+  // (exists cell c . c = A) or true; exists region r . r = A and false.
+  const FormulaPtr cell_eq = MakeOr(
+      MakeQuantifier(Formula::Kind::kExists, Formula::VarKind::kCell, "c",
+                     MakeNameEq(Var("c"), NameConstant("A"))),
+      *ParseQuery("true"));
+  const FormulaPtr region_eq = MakeQuantifier(
+      Formula::Kind::kExists, Formula::VarKind::kRegion, "r",
+      MakeAnd(MakeNameEq(Var("r"), NameConstant("A")), *ParseQuery("false")));
+  EvalOptions planned;
+  planned.plan = true;
+  for (const FormulaPtr& query : {cell_eq, region_eq}) {
+    // The written order reaches the equality first and fails; canonically
+    // the query folds to a constant, so only the up-front check sees it.
+    const Result<bool> written = engine.Evaluate(query, EvalOptions{});
+    EXPECT_EQ(written.status().code(), StatusCode::kInvalidArgument)
+        << query->ToString();
+    const Result<bool> canonical = engine.Evaluate(query, planned);
+    EXPECT_EQ(canonical.status().ToString(), written.status().ToString())
+        << query->ToString();
+  }
+}
+
+// `exists name m . ` over a balanced `and` tree of 2^k distinct `n<i> = m`
+// leaves: 31 levels deep at k = 15, yet one chain of 2^k operands once
+// canonicalized.
+std::string WideNameConjunction(int k) {
+  std::vector<std::string> level;
+  for (int i = 0; i < (1 << k); ++i) {
+    level.push_back("n" + std::to_string(i) + " = m");
+  }
+  while (level.size() > 1) {
+    std::vector<std::string> next;
+    for (size_t i = 0; i < level.size(); i += 2) {
+      next.push_back("(" + level[i] + ") and (" + level[i + 1] + ")");
+    }
+    level = std::move(next);
+  }
+  return "exists name m . " + level[0];
+}
+
+// A canonical chain is a balanced tree, so its rendering stays within the
+// parser's depth bound at any width, and canonicalization gathers a
+// written chain once instead of once per prefix.
+TEST(QueryPlanTest, WideChainKeysReparseToThemselves) {
+  for (const int k : {8, 12}) {
+    const std::string key = KeyOf(WideNameConjunction(k));
+    Result<FormulaPtr> reparsed = ParseQuery(key);
+    ASSERT_TRUE(reparsed.ok())
+        << "k=" << k << ": " << reparsed.status().ToString();
+    EXPECT_EQ(CanonicalQueryKey(*reparsed), key) << "k=" << k;
+  }
+  const QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
+  EvalOptions planned;
+  planned.plan = true;
+  const Result<bool> verdict =
+      engine.Evaluate(WideNameConjunction(15), planned);
+  ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
+  EXPECT_FALSE(*verdict);
+}
+
+// Up to three operands nest as a left-deep chain (so the ledger's keys
+// did not change); from four on, the odd operand goes to the left half.
+TEST(QueryPlanTest, CanonicalChainsAreBalancedTrees) {
+  EXPECT_EQ(KeyOf("connect(A, B) and connect(A, C) and connect(B, C)"),
+            "((connect(A, B) and connect(A, C)) and connect(B, C))");
+  EXPECT_EQ(KeyOf("connect(A, B) or connect(A, C) or connect(B, C) or "
+                  "connect(C, C)"),
+            "((connect(A, B) or connect(A, C)) or "
+            "(connect(B, C) or connect(C, C)))");
+  EXPECT_EQ(KeyOf("subset(A, A) and subset(A, B) and subset(A, C) and "
+                  "subset(B, A) and subset(B, B)"),
+            "(((subset(A, A) and subset(A, B)) and subset(A, C)) and "
+            "(subset(B, A) and subset(B, B)))");
 }
 
 // Short-circuit reordering must not let an unknown name slip through or

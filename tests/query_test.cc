@@ -76,6 +76,36 @@ TEST(ParserTest, NameEquality) {
   ASSERT_TRUE(f.ok());
 }
 
+// `=` compares names: a region, cell or rect variable on either side is a
+// ParseError naming the variable and its sort, whatever the evaluation
+// order would have reached first.
+TEST(ParserTest, NameEqualityRejectsNonNameVariables) {
+  for (const char* sort : {"region", "cell", "rect"}) {
+    for (const std::string& eq : {std::string("v = A"), std::string("A = v"),
+                                  std::string("\"A\" = v")}) {
+      const std::string query =
+          std::string("exists ") + sort + " v . " + eq + " or true";
+      const Status status = ParseQuery(query).status();
+      EXPECT_EQ(status.code(), StatusCode::kParseError) << query;
+      EXPECT_NE(status.message().find(std::string("'v' is a ") + sort +
+                                      " variable"),
+                std::string::npos)
+          << status.ToString();
+    }
+  }
+  // Name variables, bare and quoted constants parse; so does an
+  // identifier spelled like a variable once its binder is out of scope,
+  // where it is a constant.
+  for (const char* query :
+       {"exists name a . a = A", "exists name a . \"A\" = a", "A = B",
+        "\"main street\" = \"1a\"",
+        "(exists region v . connect(v, A)) and v = A",
+        "exists region v . exists name w . w = A and connect(v, w)"}) {
+    EXPECT_TRUE(ParseQuery(query).ok())
+        << query << ": " << ParseQuery(query).status().ToString();
+  }
+}
+
 TEST(ParserTest, QuotedNamesAreNameConstants) {
   Result<FormulaPtr> f = ParseQuery("connect(\"main street\", \"1a\")");
   ASSERT_TRUE(f.ok()) << f.status().ToString();

@@ -239,11 +239,6 @@ bool ReferenceEngine::IsDiscValue(const std::vector<char>& face_set,
 
 class ReferenceEngine::Walker {
  public:
-  struct Env {
-    std::map<std::string, std::vector<char>> cells;  // Region/cell vars.
-    std::map<std::string, std::string> names;        // Name variables.
-  };
-
   Walker(const ReferenceEngine& engine, const EvalOptions& options)
       : engine_(engine),
         budget_(options.max_region_candidates),
@@ -252,69 +247,92 @@ class ReferenceEngine::Walker {
         stop_(options.deadline, options.cancel),
         stop_armed_(stop_.armed()) {}
 
-  Result<bool> Eval(const FormulaPtr& formula, Env* env) {
+  Result<bool> Eval(const FormulaPtr& formula) {
     switch (formula->kind) {
       case Formula::Kind::kTrue: return true;
       case Formula::Kind::kFalse: return false;
-      case Formula::Kind::kAtom: return EvalAtom(*formula, env);
+      case Formula::Kind::kAtom: return EvalAtom(*formula);
       case Formula::Kind::kNameEq: {
-        TOPODB_ASSIGN_OR_RETURN(std::string a, NameOf(formula->lhs, env));
-        TOPODB_ASSIGN_OR_RETURN(std::string b, NameOf(formula->rhs, env));
+        TOPODB_ASSIGN_OR_RETURN(std::string a, NameOf(formula->lhs));
+        TOPODB_ASSIGN_OR_RETURN(std::string b, NameOf(formula->rhs));
         return a == b;
       }
       case Formula::Kind::kNot: {
-        TOPODB_ASSIGN_OR_RETURN(bool v, Eval(formula->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool v, Eval(formula->left));
         return !v;
       }
       case Formula::Kind::kAnd: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left));
         if (!a) return false;
-        return Eval(formula->right, env);
+        return Eval(formula->right);
       }
       case Formula::Kind::kOr: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left));
         if (a) return true;
-        return Eval(formula->right, env);
+        return Eval(formula->right);
       }
       case Formula::Kind::kImplies: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left));
         if (!a) return true;
-        return Eval(formula->right, env);
+        return Eval(formula->right);
       }
       case Formula::Kind::kIff: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left, env));
-        TOPODB_ASSIGN_OR_RETURN(bool b, Eval(formula->right, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(formula->left));
+        TOPODB_ASSIGN_OR_RETURN(bool b, Eval(formula->right));
         return a == b;
       }
       case Formula::Kind::kExists:
-      case Formula::Kind::kForall:
-        return EvalQuantifier(*formula, env);
+      case Formula::Kind::kForall: {
+        scope_.emplace_back().binder = formula.get();
+        Result<bool> v = EvalQuantifier(*formula, scope_.size() - 1);
+        scope_.pop_back();
+        return v;
+      }
     }
     TOPODB_UNREACHABLE();
   }
 
  private:
-  Result<std::string> NameOf(const Term& term, Env* env) {
+  // One bound variable: a name binder's region name, or a cell/region
+  // binder's cell set.
+  struct Binding {
+    const Formula* binder = nullptr;
+    std::string name;
+    std::vector<char> value;
+  };
+
+  // The innermost binding of `var`, whatever the binders' kinds, or
+  // nullptr.
+  const Binding* Lookup(const std::string& var) const {
+    for (auto it = scope_.rbegin(); it != scope_.rend(); ++it) {
+      if (it->binder->var == var) return &*it;
+    }
+    return nullptr;
+  }
+
+  Result<std::string> NameOf(const Term& term) const {
     if (term.kind == Term::Kind::kNameConstant) return term.text;
-    auto it = env->names.find(term.text);
-    if (it == env->names.end()) {
+    const Binding* binding = Lookup(term.text);
+    if (binding == nullptr ||
+        binding->binder->var_kind != Formula::VarKind::kName) {
       return Status::InvalidArgument("'" + term.text +
                                      "' is not a name in this context");
     }
-    return it->second;
+    return binding->name;
   }
 
-  Result<std::vector<char>> ValueOf(const Term& term, Env* env) {
-    if (term.kind == Term::Kind::kVariable) {
-      auto cell_it = env->cells.find(term.text);
-      if (cell_it != env->cells.end()) return cell_it->second;
-      auto name_it = env->names.find(term.text);
-      if (name_it != env->names.end()) {
-        return engine_.RegionValue(name_it->second);
-      }
+  Result<std::vector<char>> ValueOf(const Term& term) const {
+    if (term.kind == Term::Kind::kNameConstant) {
+      return engine_.RegionValue(term.text);
+    }
+    const Binding* binding = Lookup(term.text);
+    if (binding == nullptr) {
       return Status::InvalidArgument("unbound variable " + term.text);
     }
-    return engine_.RegionValue(term.text);
+    if (binding->binder->var_kind == Formula::VarKind::kName) {
+      return engine_.RegionValue(binding->name);
+    }
+    return binding->value;
   }
 
   std::vector<char> Closure(const std::vector<char>& s) const {
@@ -326,9 +344,9 @@ class ReferenceEngine::Walker {
     return out;
   }
 
-  Result<bool> EvalAtom(const Formula& atom, Env* env) {
-    TOPODB_ASSIGN_OR_RETURN(std::vector<char> s, ValueOf(atom.lhs, env));
-    TOPODB_ASSIGN_OR_RETURN(std::vector<char> t, ValueOf(atom.rhs, env));
+  Result<bool> EvalAtom(const Formula& atom) {
+    TOPODB_ASSIGN_OR_RETURN(std::vector<char> s, ValueOf(atom.lhs));
+    TOPODB_ASSIGN_OR_RETURN(std::vector<char> t, ValueOf(atom.rhs));
     const std::vector<char> cs = Closure(s);
     const std::vector<char> ct = Closure(t);
     auto boundary = [](const std::vector<char>& closure,
@@ -366,16 +384,17 @@ class ReferenceEngine::Walker {
     TOPODB_UNREACHABLE();
   }
 
-  Result<bool> EvalQuantifier(const Formula& formula, Env* env) {
+  // Binds scope_[slot] to each value of the quantifier's range in turn;
+  // the slot is addressed by index, since the body's quantifiers push
+  // above it.
+  Result<bool> EvalQuantifier(const Formula& formula, size_t slot) {
     const bool exists = formula.kind == Formula::Kind::kExists;
     switch (formula.var_kind) {
       case Formula::VarKind::kName: {
         for (const std::string& name : engine_.region_names_) {
           if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
-          env->names[formula.var] = name;
-          Result<bool> v = Eval(formula.body, env);
-          env->names.erase(formula.var);
-          TOPODB_ASSIGN_OR_RETURN(bool value, std::move(v));
+          scope_[slot].name = name;
+          TOPODB_ASSIGN_OR_RETURN(bool value, Eval(formula.body));
           if (value == exists) return exists;
         }
         return !exists;
@@ -386,16 +405,14 @@ class ReferenceEngine::Walker {
           if (stop_armed_ && stop_.ShouldStop()) return stop_.Check();
           std::vector<char> value(total, 0);
           value[c] = 1;
-          env->cells[formula.var] = std::move(value);
-          Result<bool> v = Eval(formula.body, env);
-          env->cells.erase(formula.var);
-          TOPODB_ASSIGN_OR_RETURN(bool result, std::move(v));
+          scope_[slot].value = std::move(value);
+          TOPODB_ASSIGN_OR_RETURN(bool result, Eval(formula.body));
           if (result == exists) return exists;
         }
         return !exists;
       }
       case Formula::VarKind::kRegion:
-        return EvalRegionQuantifier(exists, formula, env);
+        return EvalRegionQuantifier(exists, formula, slot);
       case Formula::VarKind::kRect:
         return Status::Unsupported(
             "rect quantifiers are evaluated by RectQueryEngine");
@@ -410,7 +427,7 @@ class ReferenceEngine::Walker {
   // topology (see EvalOptions::max_region_candidates); the raw step guard
   // bounds the work spent between discs.
   Result<bool> EvalRegionQuantifier(bool exists, const Formula& formula,
-                                    Env* env) {
+                                    size_t slot) {
     const int nf = engine_.nf_;
     std::vector<char> chosen(nf, 0);
     std::vector<char> banned(nf, 0);
@@ -440,9 +457,8 @@ class ReferenceEngine::Walker {
         error = stop_.Check();
         return true;
       }
-      env->cells[formula.var] = std::move(completed);
-      Result<bool> v = Eval(formula.body, env);
-      env->cells.erase(formula.var);
+      scope_[slot].value = std::move(completed);
+      Result<bool> v = Eval(formula.body);
       if (!v.ok()) {
         error = v.status();
         return true;
@@ -501,6 +517,9 @@ class ReferenceEngine::Walker {
   const int64_t max_steps_;
   const StopSignal stop_;
   const bool stop_armed_;
+  // The bound variables, outermost first: pushed at quantifier entry,
+  // popped on every exit.
+  std::vector<Binding> scope_;
 };
 
 Result<bool> ReferenceEngine::Evaluate(const FormulaPtr& query,
@@ -508,8 +527,7 @@ Result<bool> ReferenceEngine::Evaluate(const FormulaPtr& query,
   // Entry checkpoint, as in QueryEngine::Evaluate.
   TOPODB_RETURN_NOT_OK(StopSignal(options.deadline, options.cancel).Check());
   Walker walker(*this, options);
-  Walker::Env env;
-  return walker.Eval(query, &env);
+  return walker.Eval(query);
 }
 
 Result<bool> ReferenceEngine::Evaluate(const std::string& query,

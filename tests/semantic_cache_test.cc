@@ -215,6 +215,36 @@ TEST(SemanticCacheTest, UnknownNamesStayNotFoundAfterAFoldedVerdictIsCached) {
   }
 }
 
+// The same holds for an `=` over a region or cell variable, which only a
+// programmatic AST can hold: canonicalization folds these two to a
+// literal, but the input check rejects them, warm or cold.
+TEST(SemanticCacheTest, IllSortedNameEqualitiesStayInvalidAfterAFold) {
+  const FormulaPtr cell_eq = MakeOr(
+      MakeQuantifier(Formula::Kind::kExists, Formula::VarKind::kCell, "c",
+                     MakeNameEq(Var("c"), NameConstant("A"))),
+      *ParseQuery("true"));
+  const FormulaPtr region_eq = MakeQuantifier(
+      Formula::Kind::kExists, Formula::VarKind::kRegion, "r",
+      MakeAnd(MakeNameEq(Var("r"), NameConstant("A")), *ParseQuery("false")));
+  const std::pair<FormulaPtr, const char*> cases[] = {{cell_eq, "true"},
+                                                      {region_eq, "false"}};
+  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
+  for (const auto& [query, literal] : cases) {
+    SemanticCache cache;
+    EvalOptions eval;
+    eval.semantic_cache = &cache;
+    eval.cache_entry_id = 42;
+    EXPECT_EQ(EvaluateQueryCached(engine, query, eval).status().code(),
+              StatusCode::kInvalidArgument)
+        << query->ToString() << " (cold)";
+    ASSERT_TRUE(EvaluateQueryCached(engine, literal, eval).ok());
+    EXPECT_EQ(EvaluateQueryCached(engine, query, eval).status().code(),
+              StatusCode::kInvalidArgument)
+        << query->ToString() << " (after " << literal << " was cached)";
+    EXPECT_EQ(cache.stats().hits, 0u) << query->ToString();
+  }
+}
+
 TEST(SemanticCacheTest, ReingestIdentityChangeRoutesAroundStaleVerdicts) {
   // The same query against the "same" catalog name must re-evaluate when
   // the underlying bytes changed. Identity is the entry id (payload

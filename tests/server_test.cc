@@ -614,6 +614,54 @@ TEST(ServerTest, CatalogServingMatchesTheTextPathByteForByte) {
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
+// `exists name m . ` over a balanced `and` tree of 2^k distinct `n<i> = m`
+// leaves (~600 KB of text at k = 15).
+std::string WideNameConjunction(int k) {
+  std::vector<std::string> level;
+  for (int i = 0; i < (1 << k); ++i) {
+    level.push_back("n" + std::to_string(i) + " = m");
+  }
+  while (level.size() > 1) {
+    std::vector<std::string> next;
+    for (size_t i = 0; i < level.size(); i += 2) {
+      next.push_back("(" + level[i] + ") and (" + level[i + 1] + ")");
+    }
+    level = std::move(next);
+  }
+  return "exists name m . " + level[0];
+}
+
+// EVAL_QUERY on a catalog entry: the query's canonical key is built on
+// the serving path. A 2^15-operand chain canonicalizes into a balanced
+// tree, so it is answered, and the daemon still answers a ping; a
+// name equality over a cell variable is a ParseError, not a verdict that
+// depends on evaluation order.
+TEST(ServerTest, CatalogEvalAnswersWideChainsAndRejectsIllSortedEquality) {
+  const std::string dir = TempCatalogDir();
+  CatalogOptions catalog_options;
+  catalog_options.directory = dir;
+  auto catalog = Catalog::Open(catalog_options);
+  ASSERT_TRUE(catalog.ok());
+  ServerOptions options;
+  options.catalog = catalog->get();
+  TopoDbServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  TopoDbClient client = ConnectOrDie(server);
+  ASSERT_TRUE(client.Load("fig1a", WriteInstanceText(Fig1aInstance())).ok());
+  const InstanceRef fig1a = InstanceRef::Name("fig1a");
+
+  const auto wide = client.EvalQuery(fig1a, WideNameConjunction(15));
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_FALSE(*wide);
+  EXPECT_TRUE(client.Ping().ok());
+
+  const auto ill_sorted =
+      client.EvalQuery(fig1a, "(exists cell c . c = A) or true");
+  EXPECT_EQ(ill_sorted.status().code(), StatusCode::kParseError);
+  EXPECT_TRUE(client.Ping().ok());
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
 TEST(ServerTest, UnknownCatalogNameIsUniformNotFoundAcrossOpcodes) {
   const std::string dir = TempCatalogDir();
   CatalogOptions catalog_options;
