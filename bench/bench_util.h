@@ -80,6 +80,19 @@ class PredicateFilterReport {
       }
       return best;
     };
+    // The filter changes how a sign is decided, never which: a row whose
+    // two builds differ would time two different complexes.
+    std::string dumps[2];
+    for (const bool exact : {false, true}) {
+      ScopedPredicateMode mode(exact ? PredicateMode::kExact
+                                     : PredicateMode::kFiltered);
+      dumps[exact] = Unwrap(CellComplex::Build(instance)).DebugString();
+    }
+    if (dumps[0] != dumps[1]) {
+      std::fprintf(stderr, "%s: filtered and exact builds differ\n",
+                   name.c_str());
+      std::abort();
+    }
     Entry e;
     e.name = name;
     e.exact_ms = time_build(true);

@@ -7,7 +7,9 @@
 #   2. Smoke-run the pipeline batch bench so its report and assertions
 #      execute on each CI run; any nonzero exit fails CI. It also writes
 #      its per-stage metrics JSON to ci/artifacts/, which is validated
-#      against the topodb.metrics schema and archived.
+#      against the topodb.metrics schema and archived. fig05's predicate
+#      report runs too; each of its rows aborts unless the filtered and
+#      exact builds are bit-identical.
 #   3. Loopback serving smoke: start topodb_server on an ephemeral port,
 #      drive it with topodb_client (PING + BATCH_INVARIANTS), then SIGTERM
 #      and assert the graceful-drain exit code. Also smoke-runs
@@ -100,6 +102,12 @@ python3 ci/check_bench_predicates.py BENCH_predicates.json --min-speedup 3
 python3 ci/check_bench_exact_arith.py ci/artifacts/bench_exact_arith.json
 python3 ci/check_bench_exact_arith.py BENCH_exact_arith.json \
   --baseline BENCH_predicates.json
+# fig05's predicate report: its rows abort unless the filtered and exact
+# builds are bit-identical, and stretch-96bit(chain 8) is the row whose
+# cut points and walks the double filter cannot settle alone.
+TOPODB_BENCH_PREDICATES_JSON=ci/artifacts/bench_predicates_fig05.json \
+  ./build-ci/bench/bench_fig05_cellcomplex --benchmark_filter='^$'
+python3 ci/check_bench_predicates.py ci/artifacts/bench_predicates_fig05.json
 
 echo "==> server smoke: loopback PING + BATCH, graceful SIGTERM drain"
 # The daemon prints its bound address on stdout; parse the ephemeral port
@@ -428,9 +436,9 @@ python3 perfbench/run.py --workload catalog_query --seconds 2 --trace 0 \
 if [[ "${1:-}" != "--no-sanitizers" ]]; then
   echo "==> sanitizers: ASan + UBSan (incl. float-cast-overflow)"
   # float-cast-overflow is not part of GCC's "undefined" group; it is named
-  # explicitly so the predicate-filter fuzz suites (predicate_filter_test,
-  # interval_test) run with their double<->rational conversion paths
-  # checked for out-of-range casts.
+  # explicitly so the predicate-filter fuzz suite (predicate_filter_test)
+  # runs with its double<->rational conversion paths checked for
+  # out-of-range casts.
   run_suite build-asan \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-omit-frame-pointer" \

@@ -34,66 +34,26 @@ struct SubSeg {
   std::vector<int> owners;
 };
 
-// Sort key for points along a fixed segment direction (avoids division).
-// CompareAlongDirection is the filtered sign of Dot(p - q, dir), so the
-// order matches the exact rational comparison without materializing the
-// rational differences.
-struct ParamLess {
-  Point dir;
-  bool operator()(const Point& p, const Point& q) const {
-    return CompareAlongDirection(p, q, dir) < 0;
-  }
-};
-
-// A point decorated with certified enclosures of both coordinates, so
-// lexicographic comparisons and equality tests decide on doubles whenever
-// the enclosures are disjoint and fall back to the exact rationals only
-// when they overlap. Used for the filtered piece dedup.
-struct PieceEnd {
-  double xlo, xhi, ylo, yhi;
-  Point p;
-};
-
-// Lexicographic (x, y) three-way comparison; identical to the ordering of
-// Point::operator< because the interval decisions are certified.
-int PieceEndCompare(const PieceEnd& a, const PieceEnd& b) {
-  if (a.xhi < b.xlo) return -1;
-  if (b.xhi < a.xlo) return 1;
-  if (int c = a.p.x.Compare(b.p.x); c != 0) return c;
-  if (a.yhi < b.ylo) return -1;
-  if (b.yhi < a.ylo) return 1;
-  return a.p.y.Compare(b.p.y);
-}
-
-bool PieceEndsEqual(const PieceEnd& a, const PieceEnd& b) {
-  if (a.xhi < b.xlo || b.xhi < a.xlo || a.yhi < b.ylo || b.yhi < a.ylo) {
-    return false;
-  }
-  return a.p == b.p;
-}
-
-// A cut point decorated with a certified enclosure of its position along
-// the segment direction (see the sort in SplitAtIntersections) plus the
-// coordinate enclosures of the point itself.
-struct KeyedPoint {
-  double klo;
-  double khi;
-  PieceEnd e;
-};
-
-// One deduplicated-piece candidate: both decorated endpoints in (lo, hi)
-// order plus the owning region. Sorting these with DecoratedPieceLess
-// reproduces the iteration order of a std::map keyed by the exact
-// (lo, hi) point pair.
-struct DecoratedPiece {
-  PieceEnd lo;
-  PieceEnd hi;
+// A boundary piece between consecutive cut points of one input segment,
+// pointing at its endpoints in that segment's sorted cut array.
+struct Piece {
+  const Point* lo;
+  const Point* hi;
   int owner;
 };
 
-bool DecoratedPieceLess(const DecoratedPiece& a, const DecoratedPiece& b) {
-  if (int c = PieceEndCompare(a.lo, b.lo); c != 0) return c < 0;
-  return PieceEndCompare(a.hi, b.hi) < 0;
+// Lexicographic (x, y) three-way comparison, the order of Point::operator<.
+int ComparePoints(const Point& p, const Point& q) {
+  if (int c = p.x.Compare(q.x); c != 0) return c;
+  return p.y.Compare(q.y);
+}
+
+// Lexicographic (lo, hi) order. Equal pieces sort adjacent, and
+// subsegments and node ids are numbered in this order, which
+// CellComplexTest.GoldenDebugStringDigest pins.
+bool PieceLess(const Piece& a, const Piece& b) {
+  if (int c = ComparePoints(*a.lo, *b.lo); c != 0) return c < 0;
+  return ComparePoints(*a.hi, *b.hi) < 0;
 }
 
 // Conservative double bounds of a rational: the grid broad phase only needs
@@ -215,109 +175,35 @@ class CellComplexBuilder {
         for (size_t j = i + 1; j < n; ++j) cut_pair(i, j);
       }
     }
-    // Split each raw segment at its cut points and deduplicate pieces. The
-    // exact path keys pieces by an ordered std::map over the rational point
-    // pairs; the filtered path sorts pieces decorated with certified double
-    // enclosures instead. Both enumerate the deduplicated pieces in the same
-    // lexicographic (lo, hi) order, so node ids and subsegment numbering are
-    // identical.
-    std::map<std::pair<Point, Point>, std::set<int>> pieces;
-    std::vector<DecoratedPiece> dpieces;
-    const bool filtered =
-        CurrentPredicateMode() == PredicateMode::kFiltered;
-    std::vector<KeyedPoint> keyed;
+    // Split each raw segment at its sorted, deduplicated cut points, then
+    // merge the pieces several segments share: sorted by their exact
+    // (lo, hi) endpoints, each run of equal pieces becomes one subsegment
+    // owned by the union of the run's owners.
+    std::vector<Piece> pieces;
     for (size_t i = 0; i < n; ++i) {
       std::vector<Point>& pts = cuts[i];
-      const Point dir = raw_[i].b - raw_[i].a;
-      if (filtered) {
-        // Decorate-sort: cache a certified enclosure of Dot(p, dir) per cut
-        // point so the O(k log k) comparisons run on doubles; only pairs
-        // with overlapping enclosures re-enter the exact comparison. The
-        // order is the exact one either way.
-        const IntervalDouble dx = dir.x.ToIntervalDoubleFast();
-        const IntervalDouble dy = dir.y.ToIntervalDoubleFast();
-        keyed.clear();
-        keyed.reserve(pts.size());
-        for (Point& p : pts) {
-          const IntervalDouble ex = p.x.ToIntervalDoubleFast();
-          const IntervalDouble ey = p.y.ToIntervalDoubleFast();
-          const IntervalDouble k = ex * dx + ey * dy;
-          keyed.push_back({k.lo(), k.hi(),
-                           {ex.lo(), ex.hi(), ey.lo(), ey.hi(),
-                            std::move(p)}});
-        }
-        std::sort(keyed.begin(), keyed.end(),
-                  [&dir](const KeyedPoint& a, const KeyedPoint& b) {
-                    if (a.khi < b.klo) return true;
-                    if (b.khi < a.klo) return false;
-                    return CompareAlongDirection(a.e.p, b.e.p, dir) < 0;
-                  });
-        // Dedup in place (duplicates are adjacent after the sort), then emit
-        // one decorated piece per consecutive pair of cut points.
-        size_t m = 0;
-        for (size_t k = 1; k < keyed.size(); ++k) {
-          if (PieceEndsEqual(keyed[m].e, keyed[k].e)) continue;
-          keyed[++m] = std::move(keyed[k]);
-        }
-        keyed.resize(m + 1);
-        for (size_t k = 0; k + 1 < keyed.size(); ++k) {
-          const PieceEnd& a = keyed[k].e;
-          const PieceEnd& b = keyed[k + 1].e;
-          const bool a_first = PieceEndCompare(a, b) < 0;
-          dpieces.push_back({a_first ? a : b, a_first ? b : a,
-                             raw_[i].owner});
-        }
-        continue;
-      }
-      ParamLess less{dir};
-      std::sort(pts.begin(), pts.end(), less);
+      SortAlongDirection(&pts, raw_[i].b - raw_[i].a);
       pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
       for (size_t k = 0; k + 1 < pts.size(); ++k) {
-        Point lo = pts[k];
-        Point hi = pts[k + 1];
-        if (hi < lo) std::swap(lo, hi);
-        pieces[{lo, hi}].insert(raw_[i].owner);
+        const bool forward = ComparePoints(pts[k], pts[k + 1]) < 0;
+        pieces.push_back({forward ? &pts[k] : &pts[k + 1],
+                          forward ? &pts[k + 1] : &pts[k], raw_[i].owner});
       }
     }
-    if (filtered) {
-      // Sort indices rather than the pieces themselves: each DecoratedPiece
-      // carries two rational points, so moving them around during the sort
-      // would dwarf the comparison cost.
-      std::vector<uint32_t> order(dpieces.size());
-      for (uint32_t k = 0; k < order.size(); ++k) order[k] = k;
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        return DecoratedPieceLess(dpieces[a], dpieces[b]);
-      });
-      std::vector<int> owners;
-      for (size_t s = 0; s < order.size();) {
-        // A run of equal pieces: the order is sorted, so two consecutive
-        // entries are equal exactly when neither is strictly less.
-        size_t e = s + 1;
-        while (e < order.size() &&
-               !DecoratedPieceLess(dpieces[order[s]], dpieces[order[e]])) {
-          ++e;
-        }
-        owners.clear();
-        for (size_t t = s; t < e; ++t) {
-          owners.push_back(dpieces[order[t]].owner);
-        }
-        std::sort(owners.begin(), owners.end());
-        owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-        SubSeg sub;
-        sub.u = NodeId(dpieces[order[s]].lo.p);
-        sub.v = NodeId(dpieces[order[s]].hi.p);
-        sub.owners.assign(owners.begin(), owners.end());
-        subsegs_.push_back(std::move(sub));
-        s = e;
+    std::sort(pieces.begin(), pieces.end(), PieceLess);
+    for (size_t s = 0; s < pieces.size();) {
+      SubSeg sub;
+      sub.u = NodeId(*pieces[s].lo);
+      sub.v = NodeId(*pieces[s].hi);
+      size_t e = s;
+      for (; e < pieces.size() && !PieceLess(pieces[s], pieces[e]); ++e) {
+        sub.owners.push_back(pieces[e].owner);
       }
-    } else {
-      for (auto& [key, owners] : pieces) {
-        SubSeg sub;
-        sub.u = NodeId(key.first);
-        sub.v = NodeId(key.second);
-        sub.owners.assign(owners.begin(), owners.end());
-        subsegs_.push_back(std::move(sub));
-      }
+      std::sort(sub.owners.begin(), sub.owners.end());
+      sub.owners.erase(std::unique(sub.owners.begin(), sub.owners.end()),
+                       sub.owners.end());
+      subsegs_.push_back(std::move(sub));
+      s = e;
     }
     incident_.assign(node_points_.size(), {});
     for (size_t s = 0; s < subsegs_.size(); ++s) {
@@ -565,17 +451,11 @@ class CellComplexBuilder {
         d = darts[d].next_in_face;
       } while (d != static_cast<int>(d0));
     }
-    // Geometry of each cycle: the closed walk's points, and its area. In
-    // filtered mode the area is accumulated in interval arithmetic; the
-    // exact rational accumulation (with a gcd per step) only runs for
-    // cycles whose interval cannot certify the sign.
+    // Geometry of each cycle: the closed walk's points and the sign of its
+    // area. Exact areas are computed only when CycleAreaLess needs them.
     cycle_walks_.resize(cycle_reps_.size());
     cycle_area_sign_.assign(cycle_reps_.size(), 0);
-    cycle_area_iv_.assign(cycle_reps_.size(), IntervalDouble());
     cycle_area2_.assign(cycle_reps_.size(), std::nullopt);
-    const bool filtered =
-        CurrentPredicateMode() == PredicateMode::kFiltered;
-    std::vector<IntervalDouble> ivx, ivy;
     for (size_t c = 0; c < cycle_reps_.size(); ++c) {
       std::vector<Point>& walk = cycle_walks_[c];
       int d = cycle_reps_[c];
@@ -583,29 +463,8 @@ class CellComplexBuilder {
         AppendDartChain(d, &walk);
         d = complex_.darts_[d].next_in_face;
       } while (d != cycle_reps_[c]);
-      if (filtered) {
-        ivx.clear();
-        ivy.clear();
-        for (const Point& p : walk) {
-          ivx.push_back(p.x.ToIntervalDoubleFast());
-          ivy.push_back(p.y.ToIntervalDoubleFast());
-        }
-        IntervalDouble area;
-        for (size_t i = 0; i < walk.size(); ++i) {
-          const size_t j = (i + 1) % walk.size();
-          area = area + (ivx[i] * ivy[j] - ivy[i] * ivx[j]);
-        }
-        cycle_area_iv_[c] = area;
-        int sign = 0;
-        if (area.CertifiedSign(&sign) && sign != 0) {
-          cycle_area_sign_[c] = sign;
-          continue;
-        }
-      }
-      const Rational& area = ExactCycleArea(c);
-      cycle_area_sign_[c] = area.sign();
-      cycle_area_iv_[c] = area.ToIntervalDouble();
-      TOPODB_CHECK_MSG(!area.is_zero(), "degenerate face cycle");
+      cycle_area_sign_[c] = WalkAreaSign(walk);
+      TOPODB_CHECK_MSG(cycle_area_sign_[c] != 0, "degenerate face cycle");
     }
   }
 
@@ -622,11 +481,9 @@ class CellComplexBuilder {
     return *cycle_area2_[c];
   }
 
-  // Exact truth of area(a) < area(b), deciding from the containing
-  // intervals whenever they are disjoint.
+  // Exact truth of area(a) < area(b); reached only for a hole inside two
+  // or more outer cycles.
   bool CycleAreaLess(size_t a, size_t b) {
-    if (cycle_area_iv_[a].hi() < cycle_area_iv_[b].lo()) return true;
-    if (cycle_area_iv_[b].hi() < cycle_area_iv_[a].lo()) return false;
     return ExactCycleArea(a) < ExactCycleArea(b);
   }
 
@@ -827,12 +684,9 @@ class CellComplexBuilder {
   std::vector<int> cycle_of_dart_;
   std::vector<int> cycle_reps_;
   std::vector<std::vector<Point>> cycle_walks_;
-  // Per-cycle signed area (times 2): the certified sign, a containing
-  // interval for cheap comparisons, and the exact rational computed lazily
-  // only when an interval comparison stays ambiguous (or in exact mode,
-  // where it is filled eagerly).
+  // Per-cycle signed area (times 2): its sign, and the exact rational,
+  // computed on first use.
   std::vector<int> cycle_area_sign_;
-  std::vector<IntervalDouble> cycle_area_iv_;
   std::vector<std::optional<Rational>> cycle_area2_;
   std::vector<int> face_of_cycle_;
 };

@@ -233,68 +233,6 @@ double Rational::ToDouble() const {
   return num_.ToDouble() / den_.ToDouble();
 }
 
-IntervalDouble Rational::ToIntervalDoubleFast() const {
-  if (num_.is_zero()) return IntervalDouble();
-  if (den_ == BigInt(1) && num_.BitLength() <= 53) {
-    return IntervalDouble::Exact(num_.ToDouble());
-  }
-  if (num_.BitLength() <= 512 && den_.BitLength() <= 512) {
-    // v carries relative error below 2^-50 (see Compare above), so padding
-    // by 2^-49 * |v| covers it with a 2x margin that absorbs the rounding
-    // of the pad product, and the NextDown/NextUp step absorbs the rounding
-    // of the subtraction/addition. Magnitudes stay within [2^-513, 2^513],
-    // so nothing here can overflow or go subnormal.
-    const double v = num_.ToDouble() / den_.ToDouble();
-    const double pad = std::fabs(v) * 0x1p-49;
-    return IntervalDouble::FromBounds(NextDown(v - pad), NextUp(v + pad));
-  }
-  return ToIntervalDouble();
-}
-
-IntervalDouble Rational::ToIntervalDouble() const {
-  if (num_.is_zero()) return IntervalDouble();
-  // Scale the magnitude so the truncated quotient
-  //   q = floor(|num| * 2^shift / den)          (shift negative: den scaled)
-  // has exactly 52 or 53 significant bits: q and q+1 are then exactly
-  // representable doubles, and q * 2^-shift <= |r| < (q+1) * 2^-shift are
-  // certified magnitude bounds. ldexp is exact for normal results; in the
-  // subnormal range it rounds by at most half an ulp and on overflow it
-  // saturates to +inf — the outward NextDown/NextUp step below absorbs both
-  // (NextDown(+inf) == DBL_MAX, which is a valid lower bound for a value
-  // beyond double range). This is what makes the conversion correct even
-  // when the rational overflows or underflows double range.
-  const int shift = 52 + den_.BitLength() - num_.BitLength();
-  BigInt n = num_.Abs();
-  BigInt d = den_;
-  if (shift >= 0) {
-    n = n.ShiftLeft(shift);
-  } else {
-    d = d.ShiftLeft(-shift);
-  }
-  BigInt q, rem;
-  BigInt::DivMod(n, d, &q, &rem);
-  int64_t qi = 0;
-  TOPODB_CHECK(q.ToInt64(&qi));  // 2^51 <= q < 2^53 by construction.
-
-  // Exactly-representable value: q * 2^-shift with no remainder, away from
-  // the subnormal/overflow ranges where ldexp itself rounds. Returning a
-  // point interval lets downstream interval arithmetic certify exact signs.
-  if (rem.is_zero() && shift >= -960 && shift <= 1020) {
-    const double exact = std::ldexp(static_cast<double>(qi), -shift);
-    return num_.is_negative() ? IntervalDouble::Exact(-exact)
-                              : IntervalDouble::Exact(exact);
-  }
-
-  double lo = NextDown(std::ldexp(static_cast<double>(qi), -shift));
-  const double hi = NextUp(std::ldexp(static_cast<double>(qi + 1), -shift));
-  // The magnitude is positive; a lower bound below zero (possible when the
-  // value underflows to the densest subnormals) is valid but clamping it to
-  // zero is tighter and keeps the sign information.
-  if (lo < 0.0) lo = 0.0;
-  if (num_.is_negative()) return IntervalDouble::FromBounds(-hi, -lo);
-  return IntervalDouble::FromBounds(lo, hi);
-}
-
 std::string Rational::ToString() const {
   if (is_integer()) return num_.ToString();
   return num_.ToString() + "/" + den_.ToString();

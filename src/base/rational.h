@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "src/base/bigint.h"
-#include "src/base/interval.h"
 
 namespace topodb {
 
@@ -49,7 +48,9 @@ class Rational {
   // Three-way comparison: -1, 0 or +1. Runs a certified double fast path
   // first (see RationalCompareFilterEnabled below) and falls back to exact
   // cross-multiplication whenever the fast path cannot certify the order,
-  // so the result is always exact.
+  // so the result is always exact. That fast path and the predicate filter
+  // (src/geom/predicates.h) are the library's only certified double
+  // arithmetic; rationals offer no other double enclosure.
   int Compare(const Rational& other) const;
 
   Rational operator-() const;
@@ -77,25 +78,6 @@ class Rational {
   }
 
   double ToDouble() const;
-
-  // Certified double enclosure: the returned interval always contains the
-  // exact value, even when it overflows double range (bounds saturate to
-  // [DBL_MAX, +inf] / [-inf, -DBL_MAX]) or underflows it (bounds collapse
-  // around zero without crossing to the wrong sign beyond one subnormal
-  // ulp). Exactly-representable values — including zero — come back as
-  // degenerate point intervals, which lets interval arithmetic downstream
-  // certify exact signs. Width is otherwise a few ulps.
-  IntervalDouble ToIntervalDouble() const;
-
-  // Cheaper but wider certified enclosure: pads the ToDouble() quotient by
-  // its proven relative error bound (2^-50 for operands under 512 bits)
-  // instead of running the bigint division ToIntervalDouble needs. Width is
-  // ~2^-49 relative — still plenty for sign certification away from zero.
-  // Integers up to 2^53 still come back as exact point intervals; operands
-  // over 512 bits fall back to ToIntervalDouble. Use this when enclosures
-  // are built in bulk (sort keys, accumulations); prefer ToIntervalDouble
-  // when tightness matters.
-  IntervalDouble ToIntervalDoubleFast() const;
 
   // "num" when integral, otherwise "num/den".
   std::string ToString() const;

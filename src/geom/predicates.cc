@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/base/check.h"
 
@@ -184,6 +185,29 @@ bool StaticAlongSign(const Point& p, const Point& q, const Point& d,
     return false;
   }
   return FSign(FAdd(FMul(FSub(px, qx), dx), FMul(FSub(py, qy), dy)), sign);
+}
+
+// Sign of the sum of Cross(walk[i], walk[i + 1]) around the closed walk;
+// each point is converted once.
+bool StaticWalkAreaSign(const std::vector<Point>& walk, int* sign) {
+  FErr x0, y0;
+  if (walk.empty() || !StaticApprox(walk[0].x, &x0) ||
+      !StaticApprox(walk[0].y, &y0)) {
+    return false;
+  }
+  FErr area{0.0, 0.0, 0};
+  FErr x = x0, y = y0;
+  for (size_t i = 1; i <= walk.size(); ++i) {
+    FErr nx = x0, ny = y0;
+    if (i < walk.size() && (!StaticApprox(walk[i].x, &nx) ||
+                            !StaticApprox(walk[i].y, &ny))) {
+      return false;
+    }
+    area = FAdd(area, FSub(FMul(x, ny), FMul(y, nx)));
+    x = nx;
+    y = ny;
+  }
+  return FSign(area, sign);
 }
 
 // Sign of a - b for scalar coordinates.
@@ -472,6 +496,63 @@ int CompareAlongDirection(const Point& p, const Point& q, const Point& dir) {
   return FilteredSign(
       [&](int* s) { return StaticAlongSign(p, q, dir, s); },
       [&] { return CompareAlongDirectionExact(p, q, dir); });
+}
+
+void SortAlongDirectionExact(std::vector<Point>* points, const Point& dir) {
+  std::sort(points->begin(), points->end(),
+            [&dir](const Point& p, const Point& q) {
+              return CompareAlongDirectionExact(p, q, dir) < 0;
+            });
+}
+
+void SortAlongDirection(std::vector<Point>* points, const Point& dir) {
+  if (tls_mode == PredicateMode::kExact) {
+    SortAlongDirectionExact(points, dir);
+    return;
+  }
+  // Sorts indices with their keys rather than the points, so each point
+  // moves once. A point the static stage cannot convert gets a NaN key,
+  // which certifies no comparison.
+  struct Keyed {
+    FErr key;
+    uint32_t index;
+  };
+  std::vector<Point>& pts = *points;
+  FErr dx, dy;
+  const bool dir_ok = StaticApprox(dir.x, &dx) && StaticApprox(dir.y, &dy);
+  std::vector<Keyed> keyed(pts.size());
+  for (uint32_t i = 0; i < keyed.size(); ++i) {
+    FErr px, py;
+    keyed[i].index = i;
+    if (dir_ok && StaticApprox(pts[i].x, &px) && StaticApprox(pts[i].y, &py)) {
+      keyed[i].key = FAdd(FMul(px, dx), FMul(py, dy));
+    } else {
+      keyed[i].key.v = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  std::sort(keyed.begin(), keyed.end(), [&](const Keyed& a, const Keyed& b) {
+    int sign;
+    if (FSign(FSub(a.key, b.key), &sign)) return sign < 0;
+    return CompareAlongDirection(pts[a.index], pts[b.index], dir) < 0;
+  });
+  std::vector<Point> sorted;
+  sorted.reserve(pts.size());
+  for (const Keyed& k : keyed) sorted.push_back(std::move(pts[k.index]));
+  pts = std::move(sorted);
+}
+
+int WalkAreaSignExact(const std::vector<Point>& walk) {
+  Rational area(0);
+  for (size_t i = 0; i < walk.size(); ++i) {
+    area += Cross(walk[i], walk[(i + 1) % walk.size()]);
+  }
+  return area.sign();
+}
+
+int WalkAreaSign(const std::vector<Point>& walk) {
+  return FilteredSign(
+      [&](int* s) { return StaticWalkAreaSign(walk, s); },
+      [&] { return WalkAreaSignExact(walk); });
 }
 
 }  // namespace topodb

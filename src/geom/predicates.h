@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "src/geom/point.h"
 
@@ -23,6 +24,12 @@ namespace topodb {
 // sign, so every predicate below returns the same decision the pure
 // rational evaluation would — only faster. The *Exact variants skip the
 // filter entirely and are kept callable for differential testing.
+//
+// CellComplex::Build decides every sign through these predicates or
+// through Rational comparisons (whose own certified fast path follows the
+// same mode switch), so this filter is the overlay's only certified double
+// arithmetic; the grid broad phase's padded boxes are a superset prefilter,
+// not a decision.
 
 // Sign of the signed area of triangle (a, b, c):
 //   +1  c lies to the left of directed line a->b (counterclockwise turn),
@@ -78,6 +85,21 @@ bool SameDirectionExact(const Point& u, const Point& v);
 int CompareAlongDirection(const Point& p, const Point& q, const Point& dir);
 int CompareAlongDirectionExact(const Point& p, const Point& q,
                                const Point& dir);
+
+// Sorts points by Dot(p, dir), the order CompareAlongDirection decides;
+// points with equal keys end up adjacent, in unspecified order. The
+// filtered sort computes each point's filtered Dot(p, dir) once and orders
+// a pair from the two keys when their certified error bands are disjoint;
+// every other pair goes to CompareAlongDirection, and only those deferrals
+// count in the stats.
+void SortAlongDirection(std::vector<Point>* points, const Point& dir);
+void SortAlongDirectionExact(std::vector<Point>* points, const Point& dir);
+
+// Sign of the signed area of the closed walk walk[0], walk[1], ...,
+// walk[0] (the sum of Cross(walk[i], walk[i + 1])): +1 counterclockwise,
+// -1 clockwise, 0 degenerate.
+int WalkAreaSign(const std::vector<Point>& walk);
+int WalkAreaSignExact(const std::vector<Point>& walk);
 
 // --- Filter observability ------------------------------------------------
 

@@ -765,6 +765,13 @@ Status ValidateNames(const Formula& f,
             regions.find(term->text) == regions.end()) {
           return Status::NotFound("no region named " + term->text);
         }
+        if (term->kind == Term::Kind::kVariable &&
+            std::none_of(binders->begin(), binders->end(),
+                         [&](const Formula* b) {
+                           return b->var == term->text;
+                         })) {
+          return Status::InvalidArgument("unbound variable " + term->text);
+        }
       }
       return Status::OK();
     case Formula::Kind::kNameEq:

@@ -148,10 +148,12 @@ class QueryEngine {
   SelectivityStats planner_stats() const { return {}; }
 
   // NotFound for the first atom region-name constant that does not
-  // resolve; InvalidArgument for the first operand of `=` that is a
-  // variable not bound by a name quantifier (the parser rejects those;
-  // a programmatic AST can hold one, and written-order evaluation fails
-  // with the same status only if it reaches it); OK otherwise. Name
+  // resolve; InvalidArgument, with the evaluator's own message, for the
+  // first atom variable no enclosing quantifier binds and for the first
+  // operand of `=` that is a variable not bound by a name quantifier
+  // (the parser never builds either; a programmatic AST can hold one,
+  // and written-order evaluation fails with the same status only if it
+  // reaches it); OK otherwise. Name
   // constants in `=` are not looked up: unknown names there are legal
   // and simply compare unequal. Callers that rewrite a query before
   // evaluating it run this on the input first, since canonicalization

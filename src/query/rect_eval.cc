@@ -74,113 +74,130 @@ Result<RectQueryEngine::Rect> RectQueryEngine::Lookup(
   return it->second;
 }
 
-struct RectQueryEngine::Env {
-  std::map<std::string, Rect> rects;
-  std::map<std::string, std::string> names;
-};
-
 class RectQueryEngine::Evaluator {
  public:
   explicit Evaluator(const RectQueryEngine& engine) : engine_(engine) {}
 
-  Result<bool> Eval(const FormulaPtr& f, Env* env) {
+  Result<bool> Eval(const FormulaPtr& f) {
     switch (f->kind) {
       case Formula::Kind::kTrue: return true;
       case Formula::Kind::kFalse: return false;
-      case Formula::Kind::kAtom: return EvalAtom(*f, env);
+      case Formula::Kind::kAtom: return EvalAtom(*f);
       case Formula::Kind::kNameEq: {
-        TOPODB_ASSIGN_OR_RETURN(std::string a, NameOf(f->lhs, env));
-        TOPODB_ASSIGN_OR_RETURN(std::string b, NameOf(f->rhs, env));
+        TOPODB_ASSIGN_OR_RETURN(std::string a, NameOf(f->lhs));
+        TOPODB_ASSIGN_OR_RETURN(std::string b, NameOf(f->rhs));
         return a == b;
       }
       case Formula::Kind::kNot: {
-        TOPODB_ASSIGN_OR_RETURN(bool v, Eval(f->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool v, Eval(f->left));
         return !v;
       }
       case Formula::Kind::kAnd: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(f->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(f->left));
         if (!a) return false;
-        return Eval(f->right, env);
+        return Eval(f->right);
       }
       case Formula::Kind::kOr: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(f->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(f->left));
         if (a) return true;
-        return Eval(f->right, env);
+        return Eval(f->right);
       }
       case Formula::Kind::kImplies: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(f->left, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(f->left));
         if (!a) return true;
-        return Eval(f->right, env);
+        return Eval(f->right);
       }
       case Formula::Kind::kIff: {
-        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(f->left, env));
-        TOPODB_ASSIGN_OR_RETURN(bool b, Eval(f->right, env));
+        TOPODB_ASSIGN_OR_RETURN(bool a, Eval(f->left));
+        TOPODB_ASSIGN_OR_RETURN(bool b, Eval(f->right));
         return a == b;
       }
       case Formula::Kind::kExists:
       case Formula::Kind::kForall: {
-        const bool exists = f->kind == Formula::Kind::kExists;
-        if (f->var_kind == Formula::VarKind::kName) {
-          for (const auto& [name, rect] : engine_.regions_) {
-            env->names[f->var] = name;
-            Result<bool> v = Eval(f->body, env);
-            env->names.erase(f->var);
-            TOPODB_ASSIGN_OR_RETURN(bool value, std::move(v));
-            if (value == exists) return exists;
-          }
-          return !exists;
-        }
-        if (f->var_kind != Formula::VarKind::kRect) {
-          return Status::Unsupported(
-              "RectQueryEngine evaluates rect and name quantifiers only");
-        }
-        const auto& xs = engine_.xs_;
-        const auto& ys = engine_.ys_;
-        for (size_t i = 0; i < xs.size(); ++i) {
-          for (size_t j = i + 1; j < xs.size(); ++j) {
-            for (size_t k = 0; k < ys.size(); ++k) {
-              for (size_t l = k + 1; l < ys.size(); ++l) {
-                env->rects[f->var] = Rect{xs[i], ys[k], xs[j], ys[l]};
-                Result<bool> v = Eval(f->body, env);
-                env->rects.erase(f->var);
-                TOPODB_ASSIGN_OR_RETURN(bool value, std::move(v));
-                if (value == exists) return exists;
-              }
-            }
-          }
-        }
-        return !exists;
+        scope_.push_back({f.get(), nullptr, Rect{}});
+        Result<bool> v = EvalQuantifier(*f, scope_.size() - 1);
+        scope_.pop_back();
+        return v;
       }
     }
     TOPODB_UNREACHABLE();
   }
 
  private:
-  Result<std::string> NameOf(const Term& term, Env* env) {
+  // One bound variable: its binder, and its current value (a name
+  // binder's region name and that region's rectangle, or a rect binder's
+  // rectangle).
+  struct Binding {
+    const Formula* binder;
+    const std::string* name;
+    Rect rect;
+  };
+
+  // Binds scope_[slot] to each value of the quantifier's range in turn and
+  // evaluates the body, until a binding decides the quantifier. The slot
+  // is addressed by index: the body's quantifiers push above it and may
+  // reallocate the scope.
+  Result<bool> EvalQuantifier(const Formula& f, size_t slot) {
+    const bool exists = f.kind == Formula::Kind::kExists;
+    if (f.var_kind == Formula::VarKind::kName) {
+      for (const auto& [name, rect] : engine_.regions_) {
+        scope_[slot].name = &name;
+        scope_[slot].rect = rect;
+        TOPODB_ASSIGN_OR_RETURN(bool value, Eval(f.body));
+        if (value == exists) return exists;
+      }
+      return !exists;
+    }
+    if (f.var_kind != Formula::VarKind::kRect) {
+      return Status::Unsupported(
+          "RectQueryEngine evaluates rect and name quantifiers only");
+    }
+    const auto& xs = engine_.xs_;
+    const auto& ys = engine_.ys_;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      for (size_t j = i + 1; j < xs.size(); ++j) {
+        for (size_t k = 0; k < ys.size(); ++k) {
+          for (size_t l = k + 1; l < ys.size(); ++l) {
+            scope_[slot].rect = Rect{xs[i], ys[k], xs[j], ys[l]};
+            TOPODB_ASSIGN_OR_RETURN(bool value, Eval(f.body));
+            if (value == exists) return exists;
+          }
+        }
+      }
+    }
+    return !exists;
+  }
+
+  // The innermost binding of `var`, whatever its sort, or nullptr.
+  const Binding* Lookup(const std::string& var) const {
+    for (auto it = scope_.rbegin(); it != scope_.rend(); ++it) {
+      if (it->binder->var == var) return &*it;
+    }
+    return nullptr;
+  }
+
+  Result<std::string> NameOf(const Term& term) const {
     if (term.kind == Term::Kind::kNameConstant) return term.text;
-    auto it = env->names.find(term.text);
-    if (it == env->names.end()) {
+    const Binding* binding = Lookup(term.text);
+    if (binding == nullptr ||
+        binding->binder->var_kind != Formula::VarKind::kName) {
       return Status::InvalidArgument("'" + term.text + "' is not a name");
     }
-    return it->second;
+    return *binding->name;
   }
 
-  Result<Rect> ValueOf(const Term& term, Env* env) {
-    if (term.kind == Term::Kind::kVariable) {
-      auto rect_it = env->rects.find(term.text);
-      if (rect_it != env->rects.end()) return rect_it->second;
-      auto name_it = env->names.find(term.text);
-      if (name_it != env->names.end()) {
-        return engine_.Lookup(name_it->second);
-      }
+  Result<Rect> ValueOf(const Term& term) const {
+    if (term.kind != Term::Kind::kVariable) return engine_.Lookup(term.text);
+    const Binding* binding = Lookup(term.text);
+    if (binding == nullptr) {
       return Status::InvalidArgument("unbound variable " + term.text);
     }
-    return engine_.Lookup(term.text);
+    return binding->rect;
   }
 
-  Result<bool> EvalAtom(const Formula& atom, Env* env) {
-    TOPODB_ASSIGN_OR_RETURN(Rect a, ValueOf(atom.lhs, env));
-    TOPODB_ASSIGN_OR_RETURN(Rect b, ValueOf(atom.rhs, env));
+  Result<bool> EvalAtom(const Formula& atom) const {
+    TOPODB_ASSIGN_OR_RETURN(Rect a, ValueOf(atom.lhs));
+    TOPODB_ASSIGN_OR_RETURN(Rect b, ValueOf(atom.rhs));
     const int cx = IntervalContact(a.x1, a.x2, b.x1, b.x2);
     const int cy = IntervalContact(a.y1, a.y2, b.y1, b.y2);
     const bool closures_meet = cx >= 0 && cy >= 0;
@@ -213,12 +230,14 @@ class RectQueryEngine::Evaluator {
   }
 
   const RectQueryEngine& engine_;
+  // The bound variables, outermost first: pushed at quantifier entry,
+  // popped on every exit.
+  std::vector<Binding> scope_;
 };
 
 Result<bool> RectQueryEngine::Evaluate(const FormulaPtr& query) const {
   Evaluator evaluator(*this);
-  Env env;
-  return evaluator.Eval(query, &env);
+  return evaluator.Eval(query);
 }
 
 Result<bool> RectQueryEngine::Evaluate(const std::string& query) const {

@@ -53,7 +53,6 @@ class RectQueryEngine {
   struct Rect {
     Rational x1, y1, x2, y2;  // x1 < x2, y1 < y2.
   };
-  struct Env;
   class Evaluator;
 
   Result<Rect> Lookup(const std::string& name) const;

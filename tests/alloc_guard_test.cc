@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -104,10 +105,12 @@ TEST(AllocGuardTest, SmallIntegerPredicatesAreAllocationFree) {
   // of every grid/chain/random-rect arrangement build.
   const Point a(0, 0), b(10, 0), c(5, 3), d(5, -3), col(5, 0);
   const Point u = b - a, v = c - d;
+  const std::vector<Point> walk = {a, b, c, col};
   volatile int sink = 0;
   const uint64_t n = AllocationsIn([&] {
     for (int i = 0; i < 100; ++i) {
       sink = sink + Orientation(a, b, c) + Orientation(a, b, col);
+      sink = sink + WalkAreaSign(walk);
       sink = sink + (OnSegment(col, a, b) ? 1 : 0);
       sink = sink + (StrictlyInsideSegment(col, a, b) ? 1 : 0);
       sink = sink + (CcwDirectionLess(u, v) ? 1 : 0);
@@ -144,11 +147,12 @@ TEST(AllocGuardTest, StretchScaledPredicatesAreAllocationFree) {
   const Point b(Rational(11) * stretch, Rational(7) * stretch);
   const Point mid = a + (b - a) * Rational(1, 2);
   ASSERT_EQ(Orientation(a, b, mid), 0);
+  const std::vector<Point> walk = {a, mid, b};  // Zero area.
   const PredicateFilterStats before = LocalPredicateFilterStats();
   volatile int sink = 0;
   const uint64_t n = AllocationsIn([&] {
     for (int i = 0; i < 50; ++i) {
-      sink = sink + Orientation(a, b, mid);
+      sink = sink + Orientation(a, b, mid) + WalkAreaSign(walk);
     }
   });
   const PredicateFilterStats after = LocalPredicateFilterStats();
@@ -161,10 +165,12 @@ TEST(AllocGuardTest, ExactModeSmallPredicatesAreAllocationFree) {
   // differential (exact-mode) builds run entirely through it.
   ScopedPredicateMode exact(PredicateMode::kExact);
   const Point a(0, 0), b(10, 0), c(5, 3), col(5, 0);
+  const std::vector<Point> walk = {a, b, c, col};
   volatile int sink = 0;
   const uint64_t n = AllocationsIn([&] {
     for (int i = 0; i < 100; ++i) {
       sink = sink + Orientation(a, b, c) + Orientation(a, b, col);
+      sink = sink + WalkAreaSign(walk);
     }
   });
   EXPECT_EQ(n, 0u) << "exact-mode small predicate path hit the allocator";

@@ -1,14 +1,18 @@
 #include "src/arrangement/cell_complex.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/geom/predicates.h"
 #include "src/region/fixtures.h"
+#include "src/region/transform.h"
+#include "src/workload/generators.h"
 
 namespace topodb {
 namespace {
@@ -335,6 +339,60 @@ TEST(CellComplexTest, RegionIndexLookup) {
   EXPECT_EQ(complex->region_index("Z"), -1);
 }
 
+// Every coordinate times 2^64/3: numerators past the filter's
+// exact-integer range, over a non-unit denominator.
+SpatialInstance Stretched(const SpatialInstance& instance) {
+  const Rational s(BigInt(1).ShiftLeft(64), BigInt(3));
+  return *AffineTransform::Scale(s, s).ApplyToInstance(instance);
+}
+
+// A rational shear: no segment stays axis-parallel, and intersection
+// points get non-trivial denominators.
+SpatialInstance Sheared(const SpatialInstance& instance) {
+  return *AffineTransform::Make(2, 1, 3, Rational(1, 3), 1, -2)
+              ->ApplyToInstance(instance);
+}
+
+TEST(CellComplexTest, GoldenDebugStringDigest) {
+  // Pins the overlay's output across commits: the FNV-1a-64 digest of the
+  // concatenated DebugStrings (numbering, exact coordinates, labels) of a
+  // fixed corpus, in both predicate modes. A change to the build that
+  // renumbers a cell or moves a coordinate moves the digest.
+  std::vector<SpatialInstance> corpus;
+  for (const std::string& name : FixtureNames()) {
+    corpus.push_back(*FixtureByName(name));
+  }
+  for (int n : {2, 8, 32}) corpus.push_back(*ChainInstance(n));
+  for (int g : {3, 5}) corpus.push_back(*RectGridInstance(g, g));
+  corpus.push_back(*RandomRectInstance(4, 48, 42));
+  const SpatialInstance families[] = {
+      *ChainInstance(8),       *RectGridInstance(3, 4),
+      *NestedRingsInstance(6), *CombInstance(16),
+      *FlowerInstance(16),     *RandomRectInstance(8, 96, 42),
+      *RandomRectInstance(16, 192, 42), *RandomRectInstance(32, 384, 42),
+      *RandomRectInstance(64, 768, 42)};
+  for (const SpatialInstance& instance : families) {
+    corpus.push_back(instance);
+    corpus.push_back(Stretched(instance));
+    corpus.push_back(Sheared(instance));
+  }
+  for (const PredicateMode mode :
+       {PredicateMode::kFiltered, PredicateMode::kExact}) {
+    ScopedPredicateMode scoped(mode);
+    uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const SpatialInstance& instance : corpus) {
+      Result<CellComplex> complex = CellComplex::Build(instance);
+      ASSERT_TRUE(complex.ok());
+      for (const unsigned char c : complex->DebugString()) {
+        digest = (digest ^ c) * 0x100000001b3ULL;
+      }
+    }
+    EXPECT_EQ(digest, 0x6ca4236d11e9d204ULL)
+        << (mode == PredicateMode::kExact ? "exact" : "filtered") << " 0x"
+        << std::hex << digest;
+  }
+}
+
 TEST(CellComplexTest, FilteredAndExactBuildsAreBitIdentical) {
   // The predicate filter changes how a sign is decided, never which sign:
   // the filtered build and the pure exact-predicate build must produce the
@@ -384,6 +442,16 @@ TEST(CellComplexTest, FilteredAndExactBuildsAreBitIdentical) {
     if (!scale.is_integer()) {
       EXPECT_GT(metrics.counter("predicates.exact_fallbacks")->value(), 0u);
     }
+  }
+  // Larger inputs: a stretched random-rect (cut points sorted past the
+  // exact-integer range), a sheared one (no axis-parallel segment), and
+  // nested rings, whose inner holes each lie inside two or more outer
+  // cycles, so the build compares exact cycle areas.
+  const SpatialInstance random = *RandomRectInstance(24, 288, 7);
+  for (const SpatialInstance& instance :
+       {Stretched(random), Sheared(random), *NestedRingsInstance(5)}) {
+    EXPECT_EQ(build(instance, false, nullptr), build(instance, true, nullptr))
+        << instance.names().front();
   }
 }
 

@@ -6,9 +6,14 @@
 // far below double noise), small-denominator rationals with wide
 // numerators, stretch-scaled coordinates past the filter's exact-integer
 // range, and coordinates that overflow or underflow double range entirely.
+// The cut-point sort and the walk area sign, the arrangement's two
+// many-point predicates, run against their exact twins on the same
+// families.
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,8 +26,24 @@
 namespace topodb {
 namespace {
 
+// The filtered sort must produce a permutation of its input whose keys
+// Dot(p, dir) run exactly as its exact twin's; points with equal keys may
+// differ in order.
+void ExpectSortsAgree(std::vector<Point> points, const Point& dir) {
+  std::vector<Point> exact = points;
+  SortAlongDirection(&points, dir);
+  SortAlongDirectionExact(&exact, dir);
+  ASSERT_EQ(points.size(), exact.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(Dot(points[i], dir), Dot(exact[i], dir))
+        << i << ": " << points[i].ToString() << " vs " << exact[i].ToString();
+  }
+  std::sort(points.begin(), points.end());
+  std::sort(exact.begin(), exact.end());
+  EXPECT_TRUE(points == exact);
+}
+
 // One comparison of every predicate on a triple/quadruple of points.
-// Returns the number of checks performed so tests can assert coverage.
 void ExpectAllPredicatesAgree(const Point& a, const Point& b, const Point& c,
                               const Point& d) {
   ASSERT_EQ(CurrentPredicateMode(), PredicateMode::kFiltered);
@@ -39,7 +60,10 @@ void ExpectAllPredicatesAgree(const Point& a, const Point& b, const Point& c,
     EXPECT_EQ(SameDirection(u, v), SameDirectionExact(u, v));
     EXPECT_EQ(CompareAlongDirection(a, c, u),
               CompareAlongDirectionExact(a, c, u));
+    ExpectSortsAgree({a, b, c, d, a, c}, u);
   }
+  EXPECT_EQ(WalkAreaSign({a, b, c}), WalkAreaSignExact({a, b, c}));
+  EXPECT_EQ(WalkAreaSign({a, b, c, d}), WalkAreaSignExact({a, b, c, d}));
   const SegmentIntersection filtered = IntersectSegments(a, b, c, d);
   const SegmentIntersection exact = IntersectSegmentsExact(a, b, c, d);
   EXPECT_EQ(static_cast<int>(filtered.kind), static_cast<int>(exact.kind))
@@ -277,6 +301,55 @@ TEST(PredicateFilterDifferentialTest, StretchScaledNearCollinearTriples) {
   ExpectAllPredicatesAgree(a, b, mid, b);
 }
 
+TEST(PredicateFilterDifferentialTest, CutPointsAndWalksAtEveryScale) {
+  // The arrangement's two uses: cut points of one segment (collinear, with
+  // duplicates, so equal keys are equal points and the sorted sequences
+  // must match point for point), and closed walks around faces, with
+  // collinear runs and a degenerate (zero-area) walk. At scale 1 the
+  // filter decides most pairs and signs; stretched, huge and tiny scales
+  // push them to the exact tier.
+  Rational huge(1);
+  for (int i = 0; i < 400; ++i) huge = huge * Rational(10);
+  // Exact sums at 10^+-400 cost milliseconds each, so fewer rounds there.
+  const std::pair<Rational, int> scales[] = {
+      {Rational(1), 40},
+      {Rational(BigInt(1).ShiftLeft(64), BigInt(3)), 40},
+      {huge, 4},
+      {Rational(1) / huge, 4}};
+  std::mt19937_64 rng(25);
+  for (const auto& [s, rounds] : scales) {
+    for (int iter = 0; iter < rounds; ++iter) {
+      const auto coord = [&]() {
+        return Rational(static_cast<int64_t>(rng() % 2001) - 1000) * s;
+      };
+      const Point a(coord(), coord());
+      Point b(coord(), coord());
+      if (a == b) b = Point(a.x + s, a.y);
+      std::vector<Point> cuts = {a, b};
+      for (int k = 0; k < 10; ++k) {
+        cuts.push_back(a + (b - a) * Rational(static_cast<int64_t>(rng() % 17),
+                                              16));
+      }
+      std::vector<Point> filtered = cuts;
+      SortAlongDirection(&filtered, b - a);
+      SortAlongDirectionExact(&cuts, b - a);
+      EXPECT_TRUE(filtered == cuts) << s.ToString();
+      ExpectSortsAgree(filtered, a - b);
+      const Point c(coord(), coord());
+      const Point mid = a + (b - a) * Rational(1, 2);
+      for (const std::vector<Point>& walk :
+           std::vector<std::vector<Point>>{{a, b, c},
+                                           {a, mid, b, c},
+                                           {c, b, mid, a},
+                                           {a, mid, b},
+                                           {a, b, a, c, mid}}) {
+        EXPECT_EQ(WalkAreaSign(walk), WalkAreaSignExact(walk))
+            << s.ToString();
+      }
+    }
+  }
+}
+
 TEST(PredicateFilterDifferentialTest, RandomSegmentPairsAndDegeneracies) {
   // Broad random sweep plus the classic degeneracies: shared endpoints,
   // T-junctions, containment, identical segments, zero-length segments.
@@ -345,7 +418,24 @@ TEST(PredicateFilterStatsTest, StagesActuallyResolveWork) {
     expect_one_sign("CcwDirectionLess", [&] {
       CcwDirectionLess(Point(1, 1), Point(c.x + 1, Rational(1) + c.y.Abs()));
     });
+    expect_one_sign("WalkAreaSign", [&] { WalkAreaSign({sa, sb, c}); });
+    expect_one_sign("WalkAreaSign",
+                    [&] { WalkAreaSign({Point(0, 0), Point(10, 1), c}); });
   }
+  // The sort counts only the comparisons it defers: distinct integer keys
+  // are all decided in doubles, while equal stretched points cannot be
+  // told apart there and every deferral reaches the exact tier.
+  std::vector<Point> easy = {Point(3, 1), Point(0, 1), Point(2, 1)};
+  const uint64_t before_sort = settled();
+  SortAlongDirection(&easy, Point(1, 0));
+  EXPECT_EQ(settled(), before_sort);
+  EXPECT_EQ(easy[0], Point(0, 1));
+  std::vector<Point> ties = {smid, smid, smid};
+  const PredicateFilterStats before_ties = LocalPredicateFilterStats();
+  SortAlongDirection(&ties, sb - sa);
+  EXPECT_EQ(LocalPredicateFilterStats().static_hits, before_ties.static_hits);
+  EXPECT_GT(LocalPredicateFilterStats().exact_fallbacks,
+            before_ties.exact_fallbacks);
   EXPECT_GT(LocalPredicateFilterStats().exact_fallbacks,
             after_hard.exact_fallbacks);
 }
@@ -356,6 +446,10 @@ TEST(PredicateFilterModeTest, ExactModeBypassesFilters) {
   const PredicateFilterStats before = LocalPredicateFilterStats();
   EXPECT_EQ(Orientation(Point(0, 0), Point(10, 0), Point(5, 3)), 1);
   EXPECT_TRUE(OnSegment(Point(5, 0), Point(0, 0), Point(10, 0)));
+  EXPECT_EQ(WalkAreaSign({Point(0, 0), Point(10, 0), Point(5, 3)}), 1);
+  std::vector<Point> cuts = {Point(5, 0), Point(5, 0), Point(0, 0)};
+  SortAlongDirection(&cuts, Point(1, 0));
+  EXPECT_EQ(cuts[0], Point(0, 0));
   const PredicateFilterStats after = LocalPredicateFilterStats();
   // Exact mode runs pure rational arithmetic without touching the stats.
   EXPECT_EQ(after.static_hits, before.static_hits);

@@ -140,5 +140,77 @@ TEST(RectEvalTest, SGenericityCheck) {
   }
 }
 
+// A variable rebound inside its binder's body names the inner binding
+// there and the outer one again once the inner quantifier closes, whatever
+// the two binders' sorts, so a query gets the verdict of its rendering,
+// which renames the inner variable.
+TEST(RectEvalTest, RebindingANameShadowsItAcrossSorts) {
+  using VarKind = Formula::VarKind;
+  const Term v = Var("v");
+  // An atom on v, plus a name equality where v is a name binder there.
+  const auto use = [&](VarKind kind, Predicate p, const char* other,
+                       const char* eq) {
+    const FormulaPtr atom = MakeAtom(p, v, NameConstant(other));
+    if (kind != VarKind::kName) return atom;
+    return MakeOr(MakeNameEq(v, NameConstant(eq)), atom);
+  };
+  const auto expect_scoped = [](const RectQueryEngine& engine,
+                                const FormulaPtr& query) {
+    const std::string text = query->ToString();
+    const Result<bool> want = engine.Evaluate(text);
+    ASSERT_TRUE(want.ok()) << text << ": " << want.status().ToString();
+    const Result<bool> got = engine.Evaluate(query);
+    EXPECT_TRUE(got.ok() && *got == *want)
+        << text << " should be " << *want << ", got "
+        << (got.ok() ? (*got ? "true" : "false") : got.status().ToString());
+  };
+  // Small enough that a rect quantifier nested in another stays cheap.
+  const RectQueryEngine small = *RectQueryEngine::Build(
+      Rects({{"A", 0, 0, 2, 2}, {"B", 2, 0, 4, 2}}));
+  int checked = 0;
+  for (const VarKind outer : {VarKind::kRect, VarKind::kName}) {
+    for (const VarKind inner : {VarKind::kRect, VarKind::kName}) {
+      for (const Formula::Kind q :
+           {Formula::Kind::kExists, Formula::Kind::kForall}) {
+        const Formula::Kind dual = q == Formula::Kind::kExists
+                                       ? Formula::Kind::kForall
+                                       : Formula::Kind::kExists;
+        const FormulaPtr inner_use = use(inner, Predicate::kSubset, "A", "B");
+        // Q v . not (Q' v . inner-use) and outer-use, Q' the dual of Q.
+        expect_scoped(
+            small,
+            MakeQuantifier(
+                q, outer, "v",
+                MakeAnd(MakeNot(MakeQuantifier(dual, inner, "v", inner_use)),
+                        use(outer, Predicate::kConnect, "B", "A"))));
+        // Q v . (Q v . inner-use) or outer-use.
+        expect_scoped(
+            small,
+            MakeQuantifier(q, outer, "v",
+                           MakeOr(MakeQuantifier(q, inner, "v", inner_use),
+                                  use(outer, Predicate::kMeet, "B", "A"))));
+        checked += 2;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 16);
+  // forall rect v . exists name v . equal(v, A), and
+  // exists rect v . (exists rect v . true) and subset(v, A), on Fig 1a.
+  const RectQueryEngine fig1a = *RectQueryEngine::Build(Fig1aInstance());
+  expect_scoped(fig1a,
+                MakeQuantifier(Formula::Kind::kForall, VarKind::kRect, "v",
+                               MakeQuantifier(Formula::Kind::kExists,
+                                              VarKind::kName, "v",
+                                              MakeAtom(Predicate::kEqual, v,
+                                                       NameConstant("A")))));
+  expect_scoped(
+      fig1a,
+      MakeQuantifier(
+          Formula::Kind::kExists, VarKind::kRect, "v",
+          MakeAnd(MakeQuantifier(Formula::Kind::kExists, VarKind::kRect, "v",
+                                 *ParseQuery("true")),
+                  MakeAtom(Predicate::kSubset, v, NameConstant("A")))));
+}
+
 }  // namespace
 }  // namespace topodb

@@ -245,6 +245,41 @@ TEST(SemanticCacheTest, IllSortedNameEqualitiesStayInvalidAfterAFold) {
   }
 }
 
+// An atom variable no quantifier binds (only a programmatic AST holds one:
+// the parser reads a free identifier as a region name) fails with the
+// evaluator's own InvalidArgument in every evaluation order: written,
+// planned, and cached cold and warm, also once the literal that the
+// query's canonical form folds to is cached.
+TEST(SemanticCacheTest, UnboundAtomVariablesStayInvalidAfterAFold) {
+  // connect(x, A) or true, with x unbound.
+  const FormulaPtr query =
+      MakeOr(MakeAtom(Predicate::kConnect, Var("x"), NameConstant("A")),
+             *ParseQuery("true"));
+  QueryEngine engine = *QueryEngine::Build(Fig1aInstance());
+  const Result<bool> written = engine.Evaluate(query);
+  ASSERT_EQ(written.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(written.status().ToString().find("unbound variable x"),
+            std::string::npos)
+      << written.status().ToString();
+  EvalOptions planned;
+  planned.plan = true;
+  EXPECT_EQ(engine.Evaluate(query, planned).status().ToString(),
+            written.status().ToString());
+  SemanticCache cache;
+  EvalOptions eval;
+  eval.semantic_cache = &cache;
+  eval.cache_entry_id = 42;
+  EXPECT_EQ(EvaluateQueryCached(engine, query, eval).status().ToString(),
+            written.status().ToString())
+      << "cold";
+  ASSERT_TRUE(EvaluateQueryCached(engine, "true", eval).ok());
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_EQ(EvaluateQueryCached(engine, query, eval).status().ToString(),
+            written.status().ToString())
+      << "after true was cached";
+  EXPECT_EQ(cache.stats().hits, 0u);
+}
+
 TEST(SemanticCacheTest, ReingestIdentityChangeRoutesAroundStaleVerdicts) {
   // The same query against the "same" catalog name must re-evaluate when
   // the underlying bytes changed. Identity is the entry id (payload
