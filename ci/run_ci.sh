@@ -166,7 +166,8 @@ catalog_dir=$(mktemp -d /tmp/topodb_ci_catalog_XXXXXX)
 trap 'rm -rf "$catalog_dir"' EXIT
 ./build-ci/src/store/topodb_load --catalog "$catalog_dir" \
   fixtures fig1a nested
-./build-ci/src/store/topodb_load --catalog "$catalog_dir" workload chain:16
+./build-ci/src/store/topodb_load --catalog "$catalog_dir" workload chain:16 \
+  chain:40
 catalog_log=ci/artifacts/server_catalog_smoke.log
 ./build-ci/src/server/topodb_server --workers 2 --queue 16 \
   --catalog "$catalog_dir" > "$catalog_log" &
@@ -180,8 +181,8 @@ catalog_port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
 [[ -n "$catalog_port" ]] || { echo "catalog server never came up"; exit 1; }
 client="./build-ci/src/client/topodb_client --port $catalog_port"
 $client load fig1d fig1d
-$client list | grep -q "4 instance(s)" \
-  || { echo "catalog list should show 4 instances"; exit 1; }
+$client list | grep -q "5 instance(s)" \
+  || { echo "catalog list should show 5 instances"; exit 1; }
 $client describe fig1a | grep -q "s-invariant yes" \
   || { echo "describe fig1a failed"; exit 1; }
 # Byte-identity proxy: the catalog-served instance must be isomorphic to
@@ -223,6 +224,15 @@ $client ping
 # `=` compares names: over a cell variable it is a ParseError (7) in any
 # evaluation order, not a verdict.
 expect_exit 7 $client eval @fig1a "(exists cell c . c = A) or true"
+# Region quantifiers above 64 faces (chain:40 has 80): a witness holding
+# face 0 is found at once. The regions inside R039 hold none, and the range
+# reaches them only after every connected set holding face 0, so that
+# query runs into the 2^22-step backstop and fails with ResourceExhausted
+# (6). The timeout is a hang guard, not a speed gate.
+$client eval @chain:40 "exists region r . subset(r, R000)" | grep -qx "true" \
+  || { echo "a region inside R000 of chain:40 should exist"; exit 1; }
+expect_exit 6 timeout 60 $client eval @chain:40 \
+  "exists region r . subset(r, R039)"
 $client metrics > ci/artifacts/catalog_metrics.json
 python3 ci/check_metrics_json.py ci/artifacts/catalog_metrics.json \
   --require-semcache
@@ -264,7 +274,7 @@ catalog_port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
   "$catalog_log" | head -1)
 [[ -n "$catalog_port" ]] || { echo "catalog restart never came up"; exit 1; }
 client="./build-ci/src/client/topodb_client --port $catalog_port"
-$client list | grep -q "4 instance(s)" \
+$client list | grep -q "5 instance(s)" \
   || { echo "restart lost catalog entries"; exit 1; }
 $client describe fig1d | grep -q "fig1d: entry" \
   || { echo "restart lost the wire-loaded entry"; exit 1; }

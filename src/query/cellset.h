@@ -29,16 +29,10 @@ class CellSet {
   size_t size_words() const { return words_.size(); }
   // Raw word access (word i covers cells [64*i, 64*i+64)).
   uint64_t word(size_t i) const { return words_[i]; }
-  // Raw word write; the caller must keep trailing bits beyond size_bits()
-  // zero (count/equality assume it).
-  void set_word(size_t i, uint64_t value) { words_[i] = value; }
 
   void Assign(int bits) {
     bits_ = bits;
     words_.assign((static_cast<size_t>(bits) + 63) / 64, 0);
-  }
-  void Clear() {
-    for (uint64_t& w : words_) w = 0;
   }
 
   void Set(int i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }

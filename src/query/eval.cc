@@ -1,7 +1,9 @@
 #include "src/query/eval.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <deque>
 #include <mutex>
 #include <set>
@@ -26,6 +28,12 @@ Status StepsExhaustedError(int64_t limit) {
       std::to_string(limit));
 }
 
+// Bit f of a face row (a face set of whole words, face f in word f / 64).
+bool TestFace(const uint64_t* row, int f) {
+  return (row[f >> 6] >> (f & 63)) & 1;
+}
+void SetFace(uint64_t* row, int f) { row[f >> 6] |= uint64_t{1} << (f & 63); }
+
 }  // namespace
 
 // Resumable enumerator of the raw region-quantifier candidates: connected
@@ -34,175 +42,123 @@ Status StepsExhaustedError(int64_t limit) {
 // evaluator's recursive enumeration (tests/reference_eval.cc) — the
 // explicit stack mirrors its call tree, so budget and step error points
 // match the reference's.
+//
+// Face sets are rows of W = ceil(nf / 64) words. Each stack frame holds two
+// rows: its unconsumed frontier, and the bans its finished children added.
+// A child's frontier is the parent's remaining frontier OR the new face's
+// dual row, consumed lowest face first; chosen and banned faces are skipped
+// at consumption time. Both states are stable for a frame's lifetime (the
+// chosen set reverts to the frame's base whenever control returns to it,
+// and any ban visible at push time is lifted only after the frame pops), so
+// the consumed sequence is exactly the sorted frontier the reference
+// recomputes from the whole chosen set.
 class RawCandidateEnumerator {
  public:
-  explicit RawCandidateEnumerator(const std::vector<std::vector<int>>& dual)
+  // `dual` holds nf rows of W words, row f the faces sharing an edge with f.
+  RawCandidateEnumerator(const uint64_t* dual, int nf)
       : dual_(dual),
-        nf_(static_cast<int>(dual.size())),
-        mask_(nf_),
-        chosen_(nf_, 0),
-        banned_(nf_, 0) {
-    if (nf_ <= 64) {
-      dual_mask_.assign(nf_, 0);
-      for (int f = 0; f < nf_; ++f) {
-        for (int g : dual_[f]) dual_mask_[f] |= uint64_t{1} << g;
+        nf_(nf),
+        w_((static_cast<size_t>(nf) + 63) / 64),
+        mask_(nf),
+        banned_(w_, 0) {}
+
+  // Advances to the next candidate (in mask()); false when done.
+  bool Next() {
+    while (true) {
+      if (depth_ == 0) {
+        // The previous root's sets are all produced and its bans lifted;
+        // every later set holding it would repeat one, so ban it.
+        if (root_ + 1 >= nf_) return false;
+        if (root_ >= 0) SetFace(banned_.data(), root_);
+        mask_.Set(++root_);
+        Push(root_);
+        return true;
+      }
+      uint64_t* top = FrameRows(depth_ - 1);
+      const int g = PopLowest(top);
+      if (g >= 0) {
+        if (TestFace(banned_.data(), g) || mask_.Test(g)) continue;
+        mask_.Set(g);
+        Push(g);
+        return true;
+      }
+      // The top frame is spent: lift its children's bans, unchoose its face
+      // and ban that face for the parent's remaining children.
+      for (size_t j = 0; j < w_; ++j) banned_[j] &= ~top[w_ + j];
+      const int entry = entries_[--depth_];
+      mask_.Reset(entry);
+      if (depth_ > 0) {
+        SetFace(banned_.data(), entry);
+        SetFace(FrameRows(depth_ - 1) + w_, entry);
       }
     }
   }
-
-  // Advances to the next candidate (in mask()); false when done.
-  bool Next() { return nf_ <= 64 ? NextWord() : NextGeneral(); }
 
   // The current candidate as a face bitset.
   const CellSet& mask() const { return mask_; }
 
  private:
-  // Word-mode stepping (nf_ <= 64): frames carry their unconsumed frontier
-  // as a single word, consumed in ascending bit order — the same order as
-  // the sorted frontier vectors of the general path, so both paths emit
-  // the identical candidate sequence. A child's frontier is the parent's
-  // remaining frontier OR the new face's neighbor mask; faces that are
-  // already chosen or banned are filtered at consumption time, exactly as
-  // in the general path (both states are stable for a frame's lifetime).
-  bool NextWord() {
-    while (true) {
-      if (depth_ == 0) {
-        ++root_;
-        if (root_ >= nf_) return false;
-        chosen_word_ = uint64_t{1} << root_;
-        banned_word_ = (uint64_t{1} << root_) - 1;
-        mask_.set_word(0, chosen_word_);
-        PushWordFrame(root_, dual_mask_[root_]);
-        return true;
-      }
-      WordFrame& top = word_stack_[depth_ - 1];
-      if (top.frontier) {
-        const int g = std::countr_zero(top.frontier);
-        top.frontier &= top.frontier - 1;
-        if ((banned_word_ | chosen_word_) >> g & 1) continue;
-        chosen_word_ |= uint64_t{1} << g;
-        mask_.set_word(0, chosen_word_);
-        PushWordFrame(g, top.frontier | dual_mask_[g]);
-        return true;
-      }
-      banned_word_ &= ~top.banned_here;
-      const int entry = top.entry;
-      --depth_;
-      chosen_word_ &= ~(uint64_t{1} << entry);
-      mask_.set_word(0, chosen_word_);
-      if (depth_ > 0) {
-        banned_word_ |= uint64_t{1} << entry;
-        word_stack_[depth_ - 1].banned_here |= uint64_t{1} << entry;
+  // Frame d: its frontier row, then its ban row.
+  uint64_t* FrameRows(size_t d) { return &frames_[d * 2 * w_]; }
+
+  // Opens a frame for the newly chosen face `entry`: its frontier is the
+  // parent's unconsumed frontier (none for a root) OR entry's dual row.
+  void Push(int entry) {
+    if (depth_ == entries_.size()) {
+      entries_.push_back(0);
+      frames_.resize(frames_.size() + 2 * w_);
+    }
+    entries_[depth_] = entry;
+    uint64_t* frame = FrameRows(depth_);
+    std::copy_n(dual_ + entry * w_, w_, frame);
+    if (depth_ > 0) {
+      const uint64_t* parent = FrameRows(depth_ - 1);
+      for (size_t j = 0; j < w_; ++j) frame[j] |= parent[j];
+    }
+    std::fill_n(frame + w_, w_, 0);
+    ++depth_;
+  }
+
+  // Removes and returns the lowest face of a frontier row; -1 if it is empty.
+  int PopLowest(uint64_t* row) const {
+    for (size_t j = 0; j < w_; ++j) {
+      if (row[j] != 0) {
+        const int g = static_cast<int>(j * 64) + std::countr_zero(row[j]);
+        row[j] &= row[j] - 1;
+        return g;
       }
     }
+    return -1;
   }
 
-  // General stepping (vector frontiers, any nf_). The frontier of a frame
-  // is inherited from its parent (sorted merge with the new face's
-  // neighbors) instead of recomputed from the whole chosen set; entries
-  // that are chosen or banned are skipped at consumption time. Both states
-  // are stable for a frame's whole lifetime (the chosen set reverts to the
-  // frame's base whenever control returns to it, and any ban visible at
-  // push time is released only after the frame pops), so the consumed
-  // sequence is exactly the recomputed frontier.
-  bool NextGeneral() {
-    while (true) {
-      if (depth_ == 0) {
-        ++root_;
-        if (root_ >= nf_) return false;
-        std::fill(chosen_.begin(), chosen_.end(), 0);
-        std::fill(banned_.begin(), banned_.end(), 0);
-        mask_.Clear();
-        for (int f = 0; f < root_; ++f) banned_[f] = 1;
-        chosen_[root_] = 1;
-        mask_.Set(root_);
-        Frame& frame = PushFrame(root_);
-        frame.frontier = dual_[root_];
-        return true;
-      }
-      Frame& top = stack_[depth_ - 1];
-      if (top.idx < top.frontier.size()) {
-        const int g = top.frontier[top.idx++];
-        if (banned_[g] || chosen_[g]) continue;
-        chosen_[g] = 1;
-        mask_.Set(g);
-        Frame& child = PushFrame(g);
-        // `top` stays valid: PushFrame never reallocates live frames'
-        // vectors, and child.frontier is a distinct vector.
-        child.frontier.reserve(top.frontier.size() + dual_[g].size());
-        std::set_union(top.frontier.begin(), top.frontier.end(),
-                       dual_[g].begin(), dual_[g].end(),
-                       std::back_inserter(child.frontier));
-        return true;
-      }
-      for (int g : top.banned_here) banned_[g] = 0;
-      const int entry = top.entry;
-      --depth_;  // Pop; the frame's vectors stay allocated for reuse.
-      chosen_[entry] = 0;
-      mask_.Reset(entry);
-      if (depth_ > 0) {
-        banned_[entry] = 1;
-        stack_[depth_ - 1].banned_here.push_back(entry);
-      }
-    }
-  }
-
-  struct Frame {
-    int entry;                     // Face whose choice opened this frame.
-    std::vector<int> frontier;     // Sorted, deduplicated.
-    size_t idx;                    // Next frontier entry to try.
-    std::vector<int> banned_here;  // Bans added by completed siblings.
-  };
-
-  struct WordFrame {
-    int entry;             // Face whose choice opened this frame.
-    uint64_t frontier;     // Unconsumed frontier faces.
-    uint64_t banned_here;  // Bans added by completed siblings.
-  };
-
-  void PushWordFrame(int entry, uint64_t frontier) {
-    if (depth_ == word_stack_.size()) word_stack_.emplace_back();
-    WordFrame& frame = word_stack_[depth_++];
-    frame.entry = entry;
-    frame.frontier = frontier;
-    frame.banned_here = 0;
-  }
-
-  // Grows the live stack by one frame, reusing popped frames' vector
-  // capacity. stack_ is a deque so growth never moves live frames.
-  Frame& PushFrame(int entry) {
-    if (depth_ == stack_.size()) stack_.emplace_back();
-    Frame& frame = stack_[depth_++];
-    frame.entry = entry;
-    frame.frontier.clear();
-    frame.idx = 0;
-    frame.banned_here.clear();
-    return frame;
-  }
-
-  const std::vector<std::vector<int>>& dual_;
+  const uint64_t* dual_;
   int nf_;
+  size_t w_;
   int root_ = -1;
-  CellSet mask_;
-  std::vector<char> chosen_, banned_;
-  std::deque<Frame> stack_;
+  CellSet mask_;                  // Chosen faces.
+  std::vector<uint64_t> banned_;  // Banned faces, one row.
   size_t depth_ = 0;
-  // Word-mode state (nf_ <= 64 only).
-  std::vector<uint64_t> dual_mask_;
-  uint64_t chosen_word_ = 0, banned_word_ = 0;
-  std::vector<WordFrame> word_stack_;
+  std::vector<int> entries_;      // Per frame: the face that opened it.
+  std::vector<uint64_t> frames_;  // Per frame: two rows (see FrameRows).
 };
 
 // The materialized region-quantifier range: disc values in enumeration
 // order, extended lazily and shared by every binding and evaluation on
 // this engine. A deque keeps appended entries at stable addresses, so
-// FetchDiscValue can hand out pointers.
+// FetchDiscValue can hand out pointers. Everything but the two counts is
+// guarded by mu; the counts are written under it and read without it by
+// cache_stats().
 struct QueryEngine::DiscRange {
-  std::mutex mu;
+  DiscRange(const uint64_t* dual, int nf, size_t row_words)
+      : raw(dual, nf), scratch(4 * row_words) {}
+
+  std::timed_mutex mu;
   std::deque<DiscValue> values;
-  std::unique_ptr<RawCandidateEnumerator> raw;
-  int64_t raw_total = 0;
+  RawCandidateEnumerator raw;
+  std::vector<uint64_t> scratch;  // The complement flood's rows.
   bool exhausted = false;
+  std::atomic<int64_t> raw_total{0};
+  std::atomic<int64_t> discs{0};
 };
 
 QueryEngine::QueryEngine(CellComplex complex) : complex_(std::move(complex)) {}
@@ -222,17 +178,16 @@ Status QueryEngine::BuildUniverse() {
   ne_ = static_cast<int>(complex_.edges().size());
   nf_ = static_cast<int>(complex_.faces().size());
   const int total = nv_ + ne_ + nf_;
-  face_dual_.assign(nf_, {});
+  row_words_ = (static_cast<size_t>(nf_) + 63) / 64;
+  face_dual_.assign(nf_ * row_words_, 0);
   vertex_faces_.assign(nv_, {});
   edge_faces_.assign(ne_, {-1, -1});
 
   auto edge_cell = [&](int e) { return nv_ + e; };
   auto face_cell = [&](int f) { return nv_ + ne_ + f; };
-  auto sort_unique = [](std::vector<std::vector<int>>* lists) {
-    for (std::vector<int>& list : *lists) {
-      std::sort(list.begin(), list.end());
-      list.erase(std::unique(list.begin(), list.end()), list.end());
-    }
+  auto link = [&](std::vector<uint64_t>* rows, int a, int b) {
+    SetFace(&(*rows)[a * row_words_], b);
+    SetFace(&(*rows)[b * row_words_], a);
   };
 
   // Per-cell closures including the cell itself, so the closure of any set
@@ -257,12 +212,8 @@ Status QueryEngine::BuildUniverse() {
   for (int e = 0; e < ne_; ++e) {
     auto [lf, rf] = complex_.EdgeFaces(e);
     edge_faces_[e] = {lf, rf};
-    if (lf != rf) {
-      face_dual_[lf].push_back(rf);
-      face_dual_[rf].push_back(lf);
-    }
+    if (lf != rf) link(&face_dual_, lf, rf);
   }
-  sort_unique(&face_dual_);
   // Extended adjacency: edge-shared neighbors plus corner-touching faces
   // (complement connectivity can route through a shared complement
   // vertex, so the face-level check needs vertex adjacency too).
@@ -281,18 +232,7 @@ Status QueryEngine::BuildUniverse() {
     vertex_faces_[v].assign(faces.begin(), faces.end());
     for (int a : vertex_faces_[v]) {
       for (int b : vertex_faces_[v]) {
-        if (a != b) face_adj_ext_[a].push_back(b);
-      }
-    }
-  }
-  sort_unique(&face_adj_ext_);
-  if (nf_ <= 64) {
-    face_dual_mask_.assign(nf_, 0);
-    face_adj_ext_mask_.assign(nf_, 0);
-    for (int f = 0; f < nf_; ++f) {
-      for (int g : face_dual_[f]) face_dual_mask_[f] |= uint64_t{1} << g;
-      for (int g : face_adj_ext_[f]) {
-        face_adj_ext_mask_[f] |= uint64_t{1} << g;
+        if (a < b) link(&face_adj_ext_, a, b);
       }
     }
   }
@@ -316,107 +256,72 @@ Status QueryEngine::BuildUniverse() {
     region_closure_bits_[name] = ClosureBits(value);
     region_bits_[name] = std::move(value);
   }
-  range_ = std::make_unique<DiscRange>();
+  range_ = std::make_unique<DiscRange>(face_dual_.data(), nf_, row_words_);
   return Status::OK();
 }
 
-bool QueryEngine::FaceSetIsDisc(const CellSet& face_set) const {
+bool QueryEngine::Flood(const std::vector<uint64_t>& rows, int start,
+                        uint64_t* scratch) const {
+  const size_t w = row_words_;
+  const uint64_t* allowed = scratch;
+  uint64_t* reached = scratch + w;
+  uint64_t* frontier = scratch + 2 * w;
+  uint64_t* next = scratch + 3 * w;
+  std::fill_n(frontier, w, 0);
+  SetFace(frontier, start);
+  std::copy_n(frontier, w, reached);
+  for (bool grew = true; grew;) {
+    std::fill_n(next, w, 0);
+    for (size_t i = 0; i < w; ++i) {
+      for (uint64_t bits = frontier[i]; bits != 0; bits &= bits - 1) {
+        const uint64_t* row = &rows[(i * 64 + std::countr_zero(bits)) * w];
+        for (size_t j = 0; j < w; ++j) next[j] |= row[j];
+      }
+    }
+    grew = false;
+    for (size_t j = 0; j < w; ++j) {
+      frontier[j] = next[j] & allowed[j] & ~reached[j];
+      reached[j] |= frontier[j];
+      grew |= frontier[j] != 0;
+    }
+  }
+  return std::equal(reached, reached + w, allowed);
+}
+
+bool QueryEngine::ChosenFacesConnected(const CellSet& face_set,
+                                       uint64_t* scratch) const {
   // Completion connectivity == dual connectivity of the chosen faces: an
   // edge between two chosen faces is completed (a dual step stays inside
   // the completion), and conversely a path in the completion crosses only
   // completed edges (both sides chosen) and completed vertices (all faces
   // around them chosen, consecutively edge-adjacent).
-  if (nf_ <= 64) {
-    // Word-parallel path: connectivity by iterated neighbor-mask
-    // expansion over a single word.
-    const uint64_t chosen = face_set.word(0);
-    if (chosen == 0) return false;
-    uint64_t reached = chosen & (~chosen + 1);  // Lowest chosen face.
-    uint64_t frontier = reached;
-    while (frontier) {
-      uint64_t next = 0;
-      for (uint64_t w = frontier; w; w &= w - 1) {
-        next |= face_dual_mask_[std::countr_zero(w)];
-      }
-      frontier = next & chosen & ~reached;
-      reached |= frontier;
+  int start = -1;
+  for (size_t j = 0; j < row_words_; ++j) {
+    scratch[j] = face_set.word(j);
+    if (start < 0 && scratch[j] != 0) {
+      start = static_cast<int>(j * 64) + std::countr_zero(scratch[j]);
     }
-    if (reached != chosen) return false;
-    const uint64_t all =
-        nf_ == 64 ? ~uint64_t{0} : (uint64_t{1} << nf_) - 1;
-    const uint64_t unchosen = all & ~chosen;
-    if (unchosen == 0) return true;  // Complement is the point at infinity.
-    const uint64_t ext_bit = uint64_t{1} << complex_.exterior_face();
-    if (chosen & ext_bit) return false;  // Infinity is cut off.
-    reached = ext_bit;
-    frontier = reached;
-    while (frontier) {
-      uint64_t next = 0;
-      for (uint64_t w = frontier; w; w &= w - 1) {
-        next |= face_adj_ext_mask_[std::countr_zero(w)];
-      }
-      frontier = next & unchosen & ~reached;
-      reached |= frontier;
-    }
-    return reached == unchosen;
   }
-  const int nchosen = face_set.Count();
-  if (nchosen == 0) return false;
-  // Scratch reused across calls (this runs once per raw enumeration
-  // candidate; allocating here dominates the BFS itself).
-  thread_local std::vector<char> seen;
-  thread_local std::vector<int> stack;
-  {
-    int start = -1;
-    for (int f = 0; f < nf_; ++f) {
-      if (face_set.Test(f)) {
-        start = f;
-        break;
-      }
-    }
-    seen.assign(nf_, 0);
-    stack.clear();
-    stack.push_back(start);
-    seen[start] = 1;
-    int reached = 1;
-    while (!stack.empty()) {
-      const int f = stack.back();
-      stack.pop_back();
-      for (int g : face_dual_[f]) {
-        if (face_set.Test(g) && !seen[g]) {
-          seen[g] = 1;
-          ++reached;
-          stack.push_back(g);
-        }
-      }
-    }
-    if (reached != nchosen) return false;
-  }
+  return start >= 0 && Flood(face_dual_, start, scratch);
+}
+
+bool QueryEngine::ComplementConnected(const CellSet& face_set,
+                                      uint64_t* scratch) const {
   // Sphere-complement connectivity at the face level: every complement
   // edge/vertex is directly incident to an unchosen face, so complement
   // components biject with components of the unchosen faces under
   // face_adj_ext_ (plus the point at infinity on the exterior face).
-  const int unchosen = nf_ - nchosen;
-  if (unchosen == 0) return true;  // Complement is the point at infinity.
+  bool any = false;
+  for (size_t j = 0; j < row_words_; ++j) {
+    const int left = nf_ - static_cast<int>(j * 64);  // Faces from word j.
+    const uint64_t all = left >= 64 ? ~uint64_t{0} : (uint64_t{1} << left) - 1;
+    scratch[j] = all & ~face_set.word(j);
+    any |= scratch[j] != 0;
+  }
+  if (!any) return true;  // Complement is the point at infinity.
   const int exterior = complex_.exterior_face();
   if (face_set.Test(exterior)) return false;  // Infinity is cut off.
-  seen.assign(nf_, 0);
-  stack.clear();
-  stack.push_back(exterior);
-  seen[exterior] = 1;
-  int reached = 1;
-  while (!stack.empty()) {
-    const int f = stack.back();
-    stack.pop_back();
-    for (int g : face_adj_ext_[f]) {
-      if (!face_set.Test(g) && !seen[g]) {
-        seen[g] = 1;
-        ++reached;
-        stack.push_back(g);
-      }
-    }
-  }
-  return reached == unchosen;
+  return Flood(face_adj_ext_, exterior, scratch);
 }
 
 void QueryEngine::CompleteFaceSet(const CellSet& face_set,
@@ -440,7 +345,9 @@ void QueryEngine::CompleteFaceSet(const CellSet& face_set,
 
 bool QueryEngine::IsDiscValue(const CellSet& face_set,
                               CellSet* completed) const {
-  if (FaceSetIsDisc(face_set)) {
+  std::vector<uint64_t> scratch(4 * row_words_);
+  if (ChosenFacesConnected(face_set, scratch.data()) &&
+      ComplementConnected(face_set, scratch.data())) {
     CompleteFaceSet(face_set, completed);
     return true;
   }
@@ -449,10 +356,9 @@ bool QueryEngine::IsDiscValue(const CellSet& face_set,
 }
 
 QueryEngine::CacheStats QueryEngine::cache_stats() const {
-  std::lock_guard<std::mutex> lock(range_->mu);
   CacheStats stats;
-  stats.materialized_discs = static_cast<int64_t>(range_->values.size());
-  stats.raw_candidates = range_->raw_total;
+  stats.materialized_discs = range_->discs.load(std::memory_order_relaxed);
+  stats.raw_candidates = range_->raw_total.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -466,31 +372,43 @@ Result<const QueryEngine::DiscValue*> QueryEngine::FetchDiscValue(
     int64_t k, int64_t max_steps, const StopSignal& stop) const {
   DiscRange& range = *range_;
   const bool stop_armed = stop.armed();
-  std::lock_guard<std::mutex> lock(range.mu);
+  std::unique_lock<std::timed_mutex> lock(range.mu, std::defer_lock);
+  if (!stop_armed) {
+    lock.lock();
+  } else {
+    // Another evaluation may hold the lock for a whole extension, so poll
+    // while waiting. The wait is on system_clock: libstdc++ turns a
+    // steady_clock wait into pthread_mutex_clocklock, which GCC 12's
+    // ThreadSanitizer does not intercept.
+    while (!lock.try_lock_until(std::chrono::system_clock::now() +
+                                std::chrono::milliseconds(1))) {
+      if (stop.ShouldStop()) return stop.Check();
+    }
+  }
+  int64_t raw_total = range.raw_total.load(std::memory_order_relaxed);
   while (static_cast<int64_t>(range.values.size()) <= k && !range.exhausted) {
     // The next raw candidate would be number raw_total + 1; a fresh
     // enumeration per quantifier errors when its counter exceeds
     // max_steps, and every instantiation replays the same prefix of the
     // same sequence, so the global counter is exactly its counter.
-    if (range.raw_total >= max_steps) return StepsExhaustedError(max_steps);
+    if (raw_total >= max_steps) return StepsExhaustedError(max_steps);
     // Cancellation checkpoint: range extension is the unbounded part of a
     // region quantifier, so poll here (cheaply, once per ~1k candidates).
-    if (stop_armed && (range.raw_total & 1023) == 0 && stop.ShouldStop()) {
+    if (stop_armed && (raw_total & 1023) == 0 && stop.ShouldStop()) {
       return stop.Check();
     }
-    if (range.raw == nullptr) {
-      range.raw = std::make_unique<RawCandidateEnumerator>(face_dual_);
-    }
-    if (!range.raw->Next()) {
+    if (!range.raw.Next()) {
       range.exhausted = true;
       break;
     }
-    ++range.raw_total;
+    range.raw_total.store(++raw_total, std::memory_order_relaxed);
     // Each raw candidate is produced exactly once across the engine's
     // lifetime (canonical-root enumeration), so the completion is only
-    // materialized for candidates that are discs.
-    const CellSet& faces = range.raw->mask();
-    if (!FaceSetIsDisc(faces)) continue;
+    // materialized for candidates that are discs. Every candidate is
+    // grown by adding dual neighbours, so it is dual-connected already:
+    // only its complement needs checking.
+    const CellSet& faces = range.raw.mask();
+    if (!ComplementConnected(faces, range.scratch.data())) continue;
     DiscValue value;
     CompleteFaceSet(faces, &value.cells);
     // The closure of a completion is the union of its chosen faces'
@@ -500,8 +418,10 @@ Result<const QueryEngine::DiscValue*> QueryEngine::FetchDiscValue(
     value.closure = value.cells;
     faces.ForEachSetBit(
         [&](int f) { value.closure |= closure_bits_[nv_ + ne_ + f]; });
-    value.raw_index = range.raw_total;
+    value.raw_index = raw_total;
     range.values.push_back(std::move(value));
+    range.discs.store(static_cast<int64_t>(range.values.size()),
+                      std::memory_order_relaxed);
   }
   if (static_cast<int64_t>(range.values.size()) > k) {
     const DiscValue& value = range.values[k];
@@ -510,7 +430,7 @@ Result<const QueryEngine::DiscValue*> QueryEngine::FetchDiscValue(
     if (value.raw_index > max_steps) return StepsExhaustedError(max_steps);
     return &value;
   }
-  if (range.raw_total > max_steps) return StepsExhaustedError(max_steps);
+  if (raw_total > max_steps) return StepsExhaustedError(max_steps);
   return static_cast<const DiscValue*>(nullptr);
 }
 

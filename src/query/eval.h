@@ -47,8 +47,9 @@ struct EvalOptions {
   // limit alone.
   int64_t max_enumeration_steps = int64_t{1} << 22;
   // Wall-clock bound for this evaluation, polled at entry, at every
-  // quantifier binding, and every ~1k raw candidates inside the
-  // region-quantifier enumeration; expiry returns DeadlineExceeded.
+  // quantifier binding, every ~1k raw candidates inside the
+  // region-quantifier enumeration, and every ~1ms while waiting for
+  // another evaluation's range extension; expiry returns DeadlineExceeded.
   // Default is infinite.
   Deadline deadline;
   // Optional caller-owned cancellation flag, polled at the same
@@ -124,20 +125,22 @@ class QueryEngine {
   // Number of cells in the universe (vertices + edges + faces).
   size_t num_cells() const { return closure_bits_.size(); }
 
-  // True iff the completion of the face set is an open disc: the check
-  // FetchDiscValue runs on every candidate of the region-quantifier
-  // range, exposed for tests. `face_set` is indexed by face (size
-  // complex().faces().size()). On a disc, *completed is the completion:
-  // the chosen faces, every edge with both sides chosen, and every vertex
-  // whose incident faces are all chosen. It has num_cells() bits, laid out
-  // [0, nv) vertices, [nv, nv+ne) edges, [nv+ne, nv+ne+nf) faces, each
-  // block in complex() order. On a non-disc it is empty.
+  // True iff the completion of the face set is an open disc, exposed for
+  // tests. It runs both halves of the face-level check (the chosen faces'
+  // dual connectivity, then the complement's connectivity); the
+  // region-quantifier range runs only the second, since every candidate it
+  // enumerates is dual-connected by construction. `face_set` is indexed by
+  // face (size complex().faces().size()). On a disc, *completed is the
+  // completion: the chosen faces, every edge with both sides chosen, and
+  // every vertex whose incident faces are all chosen. It has num_cells()
+  // bits, laid out [0, nv) vertices, [nv, nv+ne) edges, [nv+ne, nv+ne+nf)
+  // faces, each block in complex() order. On a non-disc it is empty.
   bool IsDiscValue(const CellSet& face_set, CellSet* completed) const;
 
   // Cumulative statistics of the materialized region-quantifier range
   // since Build (all evaluations and threads). Exported to
   // EvalOptions::metrics after each evaluation; exposed here for direct
-  // inspection.
+  // inspection. Never waits for an evaluation that is extending the range.
   struct CacheStats {
     int64_t materialized_discs = 0;   // disc values in the shared range
     int64_t raw_candidates = 0;       // raw connected face sets consumed
@@ -181,13 +184,21 @@ class QueryEngine {
     int64_t raw_index = 0;
   };
 
-  // Face-level disc check: with every vertex incident to a face,
-  // connectivity of the completion reduces to dual connectivity of the
-  // chosen faces, and sphere-complement connectivity to connectivity of
-  // the unchosen faces over face_adj_ext_. The BFS runs over nf_ faces
-  // instead of all cells, and the completion is only materialized once
-  // the set is known to be a disc.
-  bool FaceSetIsDisc(const CellSet& face_set) const;
+  // The two halves of the face-level disc check. With every vertex
+  // incident to a face, connectivity of the completion reduces to dual
+  // connectivity of the chosen faces, and sphere-complement connectivity
+  // to connectivity of the unchosen faces over face_adj_ext_ (with the
+  // point at infinity on the exterior face). Each is one Flood over nf_
+  // faces instead of a search over all cells; `scratch` holds
+  // 4 * row_words_ words.
+  bool ChosenFacesConnected(const CellSet& face_set, uint64_t* scratch) const;
+  bool ComplementConnected(const CellSet& face_set, uint64_t* scratch) const;
+  // Floods from face `start` over the adjacency `rows`, inside the allowed
+  // faces held in the first row of `scratch`: ORs the rows of the frontier
+  // faces, masks by the allowed set, and repeats until no new face is
+  // reached. True iff it reaches every allowed face.
+  bool Flood(const std::vector<uint64_t>& rows, int start,
+             uint64_t* scratch) const;
   // The completion of a face set (no disc checking): chosen faces, edges
   // with both sides chosen, vertices with all incident faces chosen.
   void CompleteFaceSet(const CellSet& face_set, CellSet* completed) const;
@@ -197,8 +208,9 @@ class QueryEngine {
   // exhausted before k. Errors with ResourceExhausted when reaching the
   // k-th disc (or exhaustion) would take more than max_steps raw
   // candidates — the same iteration point at which a fresh enumeration
-  // per quantifier (the reference evaluator's) errors. `stop` is polled
-  // every ~1k raw candidates while extending the range.
+  // per quantifier (the reference evaluator's) errors. An armed `stop` is
+  // polled every ~1ms while another evaluation holds the range, and every
+  // ~1k raw candidates while extending it.
   Result<const DiscValue*> FetchDiscValue(int64_t k, int64_t max_steps,
                                           const StopSignal& stop) const;
 
@@ -209,16 +221,12 @@ class QueryEngine {
   CellComplex complex_;
   // Cell ids: [0, nv) vertices, [nv, nv+ne) edges, [nv+ne, nv+ne+nf) faces.
   int nv_ = 0, ne_ = 0, nf_ = 0;
-  std::vector<std::vector<int>> face_dual_;  // Faces sharing an edge
-                                             // (face-local indices).
-  std::vector<std::vector<int>> face_adj_ext_;  // Faces sharing an edge or
-                                                // a vertex (for the
-                                                // face-level complement
-                                                // connectivity check).
-  // Single-word neighbor masks (only when nf_ <= 64): the disc check's
-  // connectivity BFS becomes a handful of OR/AND word operations.
-  std::vector<uint64_t> face_dual_mask_;
-  std::vector<uint64_t> face_adj_ext_mask_;
+  // Face adjacency as rows of row_words_ = ceil(nf_ / 64) words: row f is
+  // [f * row_words_, (f + 1) * row_words_), with bit g set iff face g is
+  // adjacent to face f.
+  size_t row_words_ = 0;
+  std::vector<uint64_t> face_dual_;     // Faces sharing an edge.
+  std::vector<uint64_t> face_adj_ext_;  // Faces sharing an edge or a vertex.
   std::vector<std::vector<int>> vertex_faces_;  // Incident faces per vertex.
   std::vector<std::pair<int, int>> edge_faces_;  // EdgeFaces(e), flattened.
 

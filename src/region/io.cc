@@ -132,14 +132,14 @@ Result<SpatialInstance> ParseInstanceText(const std::string& text) {
       }
       vertices.push_back(Point(std::move(x), std::move(y)));
     }
+    // Region::Make validates the polygon, a quadratic pass run only there.
     Polygon poly(std::move(vertices));
-    Status valid = poly.Validate();
-    if (!valid.ok()) {
-      return LineError(line_no, name + ": " + valid.message());
-    }
     const RegionClass cls = Region::Classify(poly);
-    TOPODB_ASSIGN_OR_RETURN(Region region, Region::Make(std::move(poly), cls));
-    TOPODB_RETURN_NOT_OK(instance.AddRegion(name, std::move(region)));
+    Result<Region> region = Region::Make(std::move(poly), cls);
+    if (!region.ok()) {
+      return LineError(line_no, name + ": " + region.status().message());
+    }
+    TOPODB_RETURN_NOT_OK(instance.AddRegion(name, *std::move(region)));
   }
   return instance;
 }

@@ -176,6 +176,49 @@ TEST(ConcurrencyTest, QueryBatchCancellationMidFlightIsObservedSafely) {
   EXPECT_EQ(registry.counter("query.evaluations")->value(), queries.size());
 }
 
+// A region quantifier extends the engine's shared range under one lock. On
+// ChainInstance(40) the range holds its last disc before the 1000th raw
+// candidate and none after it for millions of candidates, so an evaluation
+// that needs a later disc holds that lock for its whole step budget. A
+// second evaluation on the same engine, with a short deadline and metrics
+// on (their export reads the range's counts), must still fail with
+// DeadlineExceeded while the first is extending, not wait it out.
+TEST(ConcurrencyTest, DeadlinedEvaluationDoesNotWaitOutARangeExtension) {
+  QueryEngine engine = *QueryEngine::Build(*ChainInstance(40));
+  const std::string query = "exists region r . subset(r, R039)";
+  CancelToken stop_extending;
+  std::atomic<bool> extender_done{false};
+  std::thread extender([&] {
+    EvalOptions options;
+    options.max_enumeration_steps = int64_t{1} << 62;
+    options.cancel = &stop_extending;
+    options.deadline = Deadline::AfterMillis(5000);  // A hang guard.
+    const Result<bool> result = engine.Evaluate(query, options);
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+    extender_done = true;
+  });
+  // Past the last disc, the extender stays inside one extension.
+  while (engine.cache_stats().raw_candidates < 2000 && !extender_done) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  MetricsRegistry registry;
+  EvalOptions options;
+  options.max_enumeration_steps = int64_t{1} << 62;
+  options.deadline = Deadline::AfterMillis(50);
+  options.metrics = &registry;
+  const auto start = std::chrono::steady_clock::now();
+  const Result<bool> result = engine.Evaluate(query, options);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  const bool extender_was_running = !extender_done;
+  stop_extending.Cancel();
+  extender.join();
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
+  EXPECT_TRUE(extender_was_running);
+  EXPECT_LT(waited, std::chrono::seconds(2));
+  EXPECT_EQ(registry.counter("query.deadline_exceeded")->value(), 1u);
+}
+
 TEST(ConcurrencyTest, BoundedCacheHoldsItsCapsUnderContention) {
   // Four threads run Lookup, Insert and GetOrCompute on one of 32 keys per
   // round, against room for 8 entries or 16 bytes, whichever binds first.

@@ -102,6 +102,31 @@ TEST(IoTest, RejectsInvalidPolygons) {
       ParseInstanceText("A: (0 0, 4 0, 4 4)\nA: (8 8, 9 8, 9 9)\n").ok());
 }
 
+// Each invalid polygon fails with the parser's line-numbered ParseError,
+// naming the region and the polygon check that rejected it.
+TEST(IoTest, InvalidPolygonsFailWithTheirExactStatus) {
+  const struct {
+    const char* text;
+    const char* status;
+  } cases[] = {
+      {"A: (0 0, 2 2, 2 0, 0 2)\n",
+       "ParseError: line 1: A: polygon boundary self-intersects"},
+      {"A: (0 0, 1 0)\n",
+       "ParseError: line 1: A: polygon needs at least 3 vertices"},
+      {"A: (0 0, 4 0, 4 0, 4 4)\n",
+       "ParseError: line 1: A: polygon has a zero-length edge"},
+      // Zero area: the boundary folds back on itself.
+      {"A: (0 0, 2 0, 4 0)\n", "ParseError: line 1: A: polygon edges overlap"},
+      {"ok: (0 0, 4 0, 4 4)\nbow: (0 0, 2 2, 2 0, 0 2)\n",
+       "ParseError: line 2: bow: polygon boundary self-intersects"},
+  };
+  for (const auto& c : cases) {
+    const Result<SpatialInstance> parsed = ParseInstanceText(c.text);
+    ASSERT_FALSE(parsed.ok()) << c.text;
+    EXPECT_EQ(parsed.status().ToString(), c.status) << c.text;
+  }
+}
+
 // One malformed input per row: the diagnostic must carry the exact
 // (post-split) line number and a recognizable message fragment, whatever
 // the line-ending convention or the size of the offending token.

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -358,6 +360,179 @@ TEST(QueryDiffTest, CompletedVerticesMatchIncidentFaceRule) {
             << "vertex " << v << ", face set " << bits;
       }
     }
+  }
+}
+
+// --- Above one word: instances of more than 64 faces ---
+
+// Instances whose face rows take two and three words: ChainInstance(40)
+// (80 faces), RectGridInstance(4, 6) (78) and RectGridInstance(6, 7) (144).
+std::vector<SpatialInstance> MultiWordWorkload() {
+  return {*ChainInstance(40), *RectGridInstance(4, 6),
+          *RectGridInstance(6, 7)};
+}
+
+// Calls visit on the first `limit` connected face sets of the complex's
+// dual graph in the range's enumeration order: roots ascending, each set
+// grown depth first by its lowest frontier face, with lower roots and the
+// faces of finished siblings banned. Recomputes each frontier from the
+// chosen set, as the reference does.
+void ForEachConnectedFaceSet(
+    const CellComplex& complex, int limit,
+    const std::function<void(const std::vector<char>&)>& visit) {
+  const int nf = static_cast<int>(complex.faces().size());
+  std::vector<std::set<int>> dual(nf);
+  for (int e = 0; e < static_cast<int>(complex.edges().size()); ++e) {
+    auto [lf, rf] = complex.EdgeFaces(e);
+    if (lf != rf) {
+      dual[lf].insert(rf);
+      dual[rf].insert(lf);
+    }
+  }
+  std::vector<char> chosen(nf, 0), banned(nf, 0);
+  int visited = 0;
+  std::function<void()> grow = [&] {
+    visit(chosen);
+    ++visited;
+    std::set<int> frontier;
+    for (int f = 0; f < nf; ++f) {
+      if (!chosen[f]) continue;
+      for (int g : dual[f]) {
+        if (!chosen[g] && !banned[g]) frontier.insert(g);
+      }
+    }
+    std::vector<int> bans;
+    for (int g : frontier) {
+      if (banned[g] || visited >= limit) continue;
+      chosen[g] = 1;
+      grow();
+      chosen[g] = 0;
+      banned[g] = 1;
+      bans.push_back(g);
+    }
+    for (int g : bans) banned[g] = 0;
+  };
+  for (int root = 0; root < nf && visited < limit; ++root) {
+    std::fill(chosen.begin(), chosen.end(), 0);
+    std::fill(banned.begin(), banned.end(), 0);
+    std::fill(banned.begin(), banned.begin() + root, 1);
+    chosen[root] = 1;
+    grow();
+  }
+}
+
+// Region quantifiers under small step and candidate limits: the engine and
+// the reference give the same verdict, or fail at the same point with the
+// same message. One engine serves every limit, so later evaluations also
+// replay range values materialized under larger limits.
+TEST(QueryDiffTest, RegionQuantifiersAboveOneWordAgreeWithReference) {
+  // Verdicts (true and false) under every limit that reaches them, and
+  // both errors at the others.
+  const char* queries[] = {
+      "forall region r . connect(r, r)",
+      "exists region r . subset(r, R000)",
+      "forall region r . not (overlap(r, R000) and overlap(r, R001))",
+      "exists region r . forall name a . not subset(r, a)",
+      "exists region r . exists region s . meet(r, s) and subset(s, R000)",
+      "forall region r . exists region s . connect(r, s)",
+  };
+  const std::pair<int64_t, int64_t> limits[] = {
+      // {max_enumeration_steps, max_region_candidates}
+      {1, 200000},  {64, 200000}, {1500, 200000},
+      {1500, 1},    {1500, 40},   {1500, 500}};
+  for (const SpatialInstance& instance : MultiWordWorkload()) {
+    QueryEngine engine = *QueryEngine::Build(instance);
+    ASSERT_GT(engine.complex().faces().size(), 64u);
+    for (const char* query : queries) {
+      for (const auto& [steps, budget] : limits) {
+        EvalOptions options;
+        options.max_enumeration_steps = steps;
+        options.max_region_candidates = budget;
+        ExpectStrategiesAgree(engine, query, options);
+      }
+    }
+  }
+}
+
+// The engine's face-level disc check against the reference's cell-level
+// one on face sets of two and three words: seeded random subsets at three
+// densities, their complements, and the first connected face sets in
+// enumeration order (the candidates the range checks).
+TEST(QueryDiffTest, DiscCheckAboveOneWordAgreesWithReference) {
+  for (const SpatialInstance& instance : MultiWordWorkload()) {
+    QueryEngine engine = *QueryEngine::Build(instance);
+    const ReferenceEngine reference(engine.complex());
+    const int nf = static_cast<int>(engine.complex().faces().size());
+    int checked = 0, discs = 0;
+    const auto expect_agree = [&](const std::vector<char>& face_set) {
+      std::vector<char> completed_ref;
+      CellSet completed;
+      const bool ref = reference.IsDiscValue(face_set, &completed_ref);
+      ASSERT_EQ(engine.IsDiscValue(CellSet::FromCharVector(face_set),
+                                   &completed),
+                ref)
+          << "face set " << checked;
+      if (ref) {
+        ++discs;
+        EXPECT_EQ(CellSet::FromCharVector(completed_ref), completed);
+      } else {
+        EXPECT_TRUE(completed.None());
+      }
+      ++checked;
+    };
+    SplitMix64 rng(static_cast<uint64_t>(nf));
+    for (uint64_t percent : {5, 50, 95}) {
+      for (int i = 0; i < 100; ++i) {
+        std::vector<char> face_set(nf), complement(nf);
+        for (int f = 0; f < nf; ++f) {
+          face_set[f] = rng.Below(100) < percent;
+          complement[f] = !face_set[f];
+        }
+        expect_agree(face_set);
+        expect_agree(complement);
+      }
+    }
+    ForEachConnectedFaceSet(engine.complex(), 2000, expect_agree);
+    EXPECT_EQ(checked, 2600);
+    EXPECT_GT(discs, 0);
+  }
+}
+
+// The shared range's raw and disc counts: full ranges of small instances,
+// and the first 2^14 raw candidates of three instances above 64 faces. A
+// change that adds, drops or reorders a candidate, or misjudges a disc,
+// moves these.
+TEST(QueryDiffTest, RangeCountsArePinned) {
+  constexpr int64_t kAll = int64_t{1} << 40;
+  const struct {
+    const char* name;
+    SpatialInstance instance;
+    int64_t steps, raw, discs;
+  } pins[] = {
+      {"Fig1b", Fig1bInstance(), kAll, 8208, 1018},
+      {"ChainInstance(6)", *ChainInstance(6), kAll, 1195, 67},
+      {"CombInstance(4)", *CombInstance(4), kAll, 775, 292},
+      {"RectGridInstance(2, 3)", *RectGridInstance(2, 3), kAll, 35214, 5565},
+      {"ChainInstance(40)", *ChainInstance(40), 16384, 16384, 80},
+      {"RectGridInstance(4, 6)", *RectGridInstance(4, 6), 16384, 16384, 4857},
+      {"RectGridInstance(6, 7)", *RectGridInstance(6, 7), 16384, 16384, 6941},
+  };
+  for (const auto& pin : pins) {
+    QueryEngine engine = *QueryEngine::Build(pin.instance);
+    EvalOptions options;
+    options.max_enumeration_steps = pin.steps;
+    options.max_region_candidates = kAll;
+    const Result<bool> result =
+        engine.Evaluate("exists region r . false", options);
+    if (pin.steps == kAll) {
+      EXPECT_TRUE(result.ok() && !*result) << pin.name;
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+          << pin.name;
+    }
+    const QueryEngine::CacheStats stats = engine.cache_stats();
+    EXPECT_EQ(stats.raw_candidates, pin.raw) << pin.name;
+    EXPECT_EQ(stats.materialized_discs, pin.discs) << pin.name;
   }
 }
 
